@@ -1,7 +1,7 @@
 """Generator for the ``lattice-hole-verify`` input documents.
 
 Each document is a 9×9 square lattice, the ambient graph, with edge weights
-drawn uniformly from [0.5, 1.5]; the central 2×2 block is left out of the
+drawn uniformly from [0.9, 1.1]; the central 2×2 block is left out of the
 kept set.  That leaves 77 kept vertices, 8 of them on the boundary of the
 hole.  The ambient graph is neither a path nor complete, so heatpar takes
 its ambient-spectral branch on these documents.  One workload seed gives
@@ -20,7 +20,9 @@ import numpy as np
 
 SIDE = 9
 HOLE = (3, 4)  # rows and columns of the 2×2 block left out
-WEIGHT_RANGE = (0.5, 1.5)
+# narrow enough that the kernel's deviation from the reference, which the
+# weights next to the hole set, moves by a few percent from seed to seed
+WEIGHT_RANGE = (0.9, 1.1)
 COUNT = 4  # documents per seed
 
 

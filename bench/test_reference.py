@@ -93,5 +93,5 @@ def test_lattice_document_shape_and_seed():
     assert g.n == 77 and len(doc["ambient"]["vertices"]) == 4
     weights = [w for _, _, w in doc["ambient"]["edges"]]
     assert len(weights) == 2 * 9 * 8
-    assert all(0.5 <= w <= 1.5 for w in weights)
+    assert all(0.9 <= w <= 1.1 for w in weights)
     assert len(g.boundary()) == 8

@@ -1,77 +1,96 @@
 """Heat kernels on weighted graphs built from parametrices and corrected by
-an alternating convolution series, with spectral and closed-form oracles."""
+an alternating convolution series, with spectral and closed-form oracles.
 
-from .bessel import (
-    BesselEvaluator,
-    bessel_tail_bound,
-    bessel_time_convolve,
-    besseli,
-    besseli_grid,
-    besseli_row,
-    halfline_dirichlet_closed_form,
-    halfline_window_kernel,
-    intro_identity_sum,
-    kernel_Z,
-    kernel_halfline,
-    kernel_halfline_dirichlet,
-    verify_intro_identity,
-    watson_series,
-    z_window_kernel,
-)
-from .embed1d import (
-    BumpFamily,
-    IntervalDomain,
-    VoronoiCell1D,
-    averaged_parametrix,
-    build_bumps,
-    build_voronoi,
-    embed_heat_kernel,
-    interval_heat_kernel,
-    modes_for_time,
-    series_tail_bound,
-)
-from .graph import (
-    DegreeProfile,
-    SubgraphEmbedding,
-    WeightedGraph,
-    adjacency_complement,
-    boundary_sets,
-    laplacian_apply,
-)
-from .oracle import (
-    OracleReport,
-    SpectralDecomposition,
-    compare_kernels,
-    expm_heat_kernel,
-    jacobi_eigh,
-    spectral_decomposition,
-    spectral_heat_kernel,
-    spectral_kernel_series,
-)
-from .parametrix import (
-    NeumannSeriesResult,
-    Parametrix,
-    algebraic_heat_image,
-    assemble_heat_kernel,
-    b_matrix,
-    complete_graph_kernel,
-    diagonal_parametrix,
-    dirichlet_parametrix,
-    heat_kernel_via_parametrix,
-    neumann_series,
-    restriction_parametrix,
-    subgraph_kernel_closed_form,
-)
-from .series import (
-    ClosedFormKernel,
-    KernelSeries,
-    TimeGrid,
-    convolution_bound,
-    convolve,
-    convolve_values,
-    fold_bound,
-    l_fold_convolve,
-    sample_closed_form,
-)
+The public names below load their submodule on first access (PEP 562), so
+``import heatpar.cli`` does not load numpy or scipy before the CLI has
+applied ``HEATPAR_THREADS`` to the numeric libraries' thread pools.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "bessel": (
+        "BesselEvaluator",
+        "bessel_tail_bound",
+        "bessel_time_convolve",
+        "besseli",
+        "besseli_grid",
+        "besseli_row",
+        "halfline_dirichlet_closed_form",
+        "halfline_window_kernel",
+        "intro_identity_sum",
+        "kernel_Z",
+        "kernel_halfline",
+        "kernel_halfline_dirichlet",
+        "verify_intro_identity",
+        "watson_series",
+        "z_window_kernel",
+    ),
+    "embed1d": (
+        "BumpFamily",
+        "IntervalDomain",
+        "VoronoiCell1D",
+        "averaged_parametrix",
+        "build_bumps",
+        "build_voronoi",
+        "embed_heat_kernel",
+        "interval_heat_kernel",
+        "modes_for_time",
+        "series_tail_bound",
+    ),
+    "graph": (
+        "DegreeProfile",
+        "SubgraphEmbedding",
+        "WeightedGraph",
+        "adjacency_complement",
+        "boundary_sets",
+        "laplacian_apply",
+    ),
+    "oracle": (
+        "OracleReport",
+        "SpectralDecomposition",
+        "compare_kernels",
+        "expm_heat_kernel",
+        "jacobi_eigh",
+        "spectral_decomposition",
+        "spectral_heat_kernel",
+        "spectral_kernel_series",
+    ),
+    "parametrix": (
+        "NeumannSeriesResult",
+        "Parametrix",
+        "assemble_heat_kernel",
+        "b_matrix",
+        "complete_graph_kernel",
+        "diagonal_parametrix",
+        "dirichlet_parametrix",
+        "heat_kernel_via_parametrix",
+        "neumann_series",
+        "restriction_parametrix",
+        "subgraph_kernel_closed_form",
+    ),
+    "series": (
+        "ClosedFormKernel",
+        "KernelSeries",
+        "TimeGrid",
+        "convolution_bound",
+        "convolve",
+        "convolve_values",
+        "fold_bound",
+        "l_fold_convolve",
+        "sample_closed_form",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -23,12 +23,7 @@ from scipy.optimize import brentq
 
 from .errors import ContractViolation, DomainError, NumericalBudgetError, ResolutionError
 from .graph import WeightedGraph
-from .parametrix import (
-    Parametrix,
-    algebraic_heat_image,
-    assemble_heat_kernel,
-    neumann_series,
-)
+from .parametrix import Parametrix, assemble_heat_kernel, neumann_series
 from .series import ClosedFormKernel, KernelSeries, TimeGrid
 
 

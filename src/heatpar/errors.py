@@ -31,4 +31,5 @@ class ResolutionError(NumericalBudgetError):
 
 
 class NonConvergenceError(NumericalBudgetError):
-    """A series failed to meet its truncation bound within the term cap."""
+    """A correction series has no bounded solution on the time grid, or its
+    term bound never meets the tolerance."""

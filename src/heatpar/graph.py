@@ -196,16 +196,15 @@ def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:
 def boundary_sets(e: SubgraphEmbedding) -> tuple[set[int], set[int], set[int]]:
     """Return (∂G, Int(G), ∂(G∖∂G)) as sets of ambient vertex ids.
 
-    ∂G holds kept vertices whose weighted degree in G is strictly below
-    their ambient degree.  Int(G) is the rest.  The third set is the
-    boundary of Int(G) re-embedded into G, i.e. interior vertices that are
-    G-adjacent to ∂G.
+    ∂G holds kept vertices that lose an ambient edge in G, i.e. whose
+    adjacency complement is non-empty (so their weighted degree in G is
+    below their ambient degree; comparing the two floating-point sums
+    instead would flag vertices whose sums merely round differently).
+    Int(G) is the rest.  The third set is the boundary of Int(G)
+    re-embedded into G, i.e. interior vertices that are G-adjacent to ∂G.
     """
-    prof = e.degree_profile()
-    kept = np.array(e.kept)
-    is_boundary = prof.mu < prof.mu_ambient
-    boundary = set(int(v) for v in kept[is_boundary])
-    interior = set(int(v) for v in kept[~is_boundary])
+    boundary = set(v for v in e.kept if adjacency_complement(e, v))
+    interior = set(e.kept) - boundary
     if not interior:
         return boundary, interior, set()
     sub = e.subgraph

@@ -6,10 +6,11 @@ image LH = (Δ + ∂_t)H, the corrected kernel is
 
     H_G = H + H * F,      F = Σ_{ℓ>=1} (−1)^ℓ (LH)^{*ℓ},
 
-where * is the graph convolution.  The series is truncated once the
-factorial term bound at t_max falls below the requested tolerance, which
-also certifies the dropped tail.  Heat images are always assembled from
-closed-form values, never by numerically differentiating a sampled kernel.
+where * is the graph convolution.  The whole discrete series is solved
+directly as a Volterra equation by a power-series inverse; the requested
+tolerance only sizes the factorial term bound reported with it.  Heat
+images are always assembled from closed-form values, never by numerically
+differentiating a sampled kernel.
 """
 
 from __future__ import annotations
@@ -85,25 +86,13 @@ class Parametrix:
 
 @dataclass(frozen=True)
 class NeumannSeriesResult:
-    """Truncated correction series F with its certificate."""
+    """Correction series F with its bound certificate and discrete residual."""
 
     F: KernelSeries
     terms_used: int
     certified_tail: float
     bound_constant: float
-
-
-def algebraic_heat_image(
-    g: WeightedGraph, kernel: ClosedFormKernel, grid: TimeGrid
-) -> KernelSeries:
-    """Sample LH = Δ_G H + ∂_t H using the kernel's exact time derivative."""
-    if kernel.n != g.n:
-        raise ContractViolation("graph and kernel sizes differ")
-    lap = g.laplacian_matrix()
-    vals = np.empty((grid.steps + 1, g.n, g.n))
-    for j, t in enumerate(grid.nodes):
-        vals[j] = lap @ kernel.at(float(t)) + kernel.derivative_at(float(t))
-    return KernelSeries(grid, vals)
+    residual: float
 
 
 def diagonal_parametrix(g: WeightedGraph, grid: TimeGrid) -> Parametrix:
@@ -254,15 +243,61 @@ def dirichlet_parametrix(
     )
 
 
-def neumann_series(p: Parametrix, tol: float, max_terms: int = 10000) -> NeumannSeriesResult:
-    """Sum F = Σ (−1)^ℓ (LH)^{*ℓ} term by term.
+_COARSE_GRID = (
+    "the correction series has no bounded solution on this grid; the grid "
+    "is too coarse to resolve the heat image (refine the time grid)"
+)
 
-    The loop stops once the factorial bound for the next term, evaluated at
+
+def _series_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """First ``m`` coefficients of the matrix power-series product a(z)·b(z)."""
+    nfft = next_fast_len(a.shape[0] + b.shape[0] - 1)
+    prod = rfft(a, n=nfft, axis=0) @ rfft(b, n=nfft, axis=0)
+    return irfft(prod, n=nfft, axis=0)[:m]
+
+
+def _series_inverse(p: np.ndarray) -> np.ndarray:
+    """Inverse of the matrix power series ``p`` modulo z^len(p).
+
+    Newton doubling G ← G(2I − PG) (Brent & Kung, JACM 25, 1978): each step
+    doubles the number of correct coefficients at the cost of two FFT
+    products, so the whole inverse costs a few products of full length.
+    """
+    m1 = p.shape[0]
+    try:
+        g = np.linalg.inv(p[:1])
+    except np.linalg.LinAlgError:
+        raise NonConvergenceError(_COARSE_GRID) from None
+    while g.shape[0] < m1:
+        m = min(2 * g.shape[0], m1)
+        err = _series_product(p[:m], g, m)  # PG − I vanishes below z^len(g)
+        err[0] -= np.eye(p.shape[1])
+        step = -_series_product(g, err, m)
+        step[: g.shape[0]] += g
+        g = step
+    return g
+
+
+def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
+    """The full discrete series F = Σ (−1)^ℓ (LH)^{*ℓ}, solved directly.
+
+    The trapezoid convolution is a power-series product with halved
+    constant terms, conv(a, b) = dt·[a′(z) b′(z)]_{j≥1} with a′₀ = a₀/2, so
+    F solves the discrete Volterra equation F + LH + conv(F, LH) = 0, whose
+    closed form modulo z^{M+1} is
+
+        F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹,   then F₀ = −L₀.
+
+    Rows of F vanish off the support S, so the inverse is taken on the S×S
+    block only (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
+    1985) and one more product F_S = −L_S − conv(F_SS, L_S) gives the rest.
+    ``residual`` is the sup of F + LH + conv(F, LH) on that block.
+
+    ``tol`` does not change F; it only sizes the factorial bound.
+    ``terms_used`` is the first ℓ whose next term's bound, evaluated at
     t_max with the empirical sup of |LH| (inflated by 1.1) standing in for
-    the true constant, drops below ``tol``; the same bound summed over all
-    dropped terms gives the certified tail.  Convolutions restrict their
-    vertex sums to the declared support, which also tightens the bound's
-    vertex-count factor to the support size.
+    the true constant and the support size as the vertex count, drops below
+    ``tol``; ``certified_tail`` sums the bound over the later terms.
     """
     if tol <= 0:
         raise ContractViolation("tolerance must be positive")
@@ -275,58 +310,11 @@ def neumann_series(p: Parametrix, tol: float, max_terms: int = 10000) -> Neumann
     c_emp = 1.1 * float(np.abs(lh).max())
     k = p.order
 
-    lh_s = lh[:, supp, :]
-    term = lh_s.copy()
-    f_s = -term
     terms_used = 1
-    # the right-hand operand of every convolution is LH itself, so its
-    # transform and its t = 0 slice are fixed across the loop
-    nfft = next_fast_len(2 * m1 - 1)
-    fb = rfft(lh_s, n=nfft, axis=0)
-    b0 = lh_s[0]
-    sign = -1.0
-    while c_emp > 0.0:
-        nxt = fold_bound(c_emp, k, terms_used + 1, n_eff, t_max)
-        if nxt < tol:
-            break
-        if terms_used >= max_terms:
-            raise NonConvergenceError(
-                f"series bound still {nxt:.3e} after {max_terms} terms"
-            )
-        if not term.any():
-            # every later fold is identically zero in float64, so the partial
-            # sum is already final; advance the count to where the bound
-            # certificate kicks in without doing the no-op convolutions
-            while fold_bound(c_emp, k, terms_used + 1, n_eff, t_max) >= tol:
-                terms_used += 1
-                if terms_used > 10_000_000:
-                    raise NonConvergenceError("term bound never meets the tolerance")
-            break
-        # ((LH)^{*ℓ} * LH)(v1, v2) only sums over the support columns
-        a = term[:, :, supp]
-        fa = rfft(a, n=nfft, axis=0)
-        prod = np.einsum("fpq,fqr->fpr", fa, fb)
-        prod -= 0.5 * np.einsum("fpq,qr->fpr", fa, b0)
-        if terms_used == 1:
-            prod -= 0.5 * np.einsum("pq,fqr->fpr", a[0], fb)
-        term = irfft(prod, n=nfft, axis=0)[:m1]
-        term *= dt
-        term[0] = 0.0
+    while c_emp > 0.0 and fold_bound(c_emp, k, terms_used + 1, n_eff, t_max) >= tol:
         terms_used += 1
-        sign = -sign
-        f_s += sign * term
-        peak = float(np.abs(term).max())
-        if not math.isfinite(peak) or peak > 1e150:
-            raise NonConvergenceError(
-                "series terms are growing without bound; the grid is too "
-                "coarse to resolve the heat image (refine the time grid)"
-            )
-        if peak < max(1e-250, 1e-9 * tol):
-            # folds this small can never move the sum by more than a
-            # negligible fraction of tol; zeroing them also lets the loop
-            # fast-forward instead of convolving denormal noise
-            term.fill(0.0)
-
+        if terms_used > 10_000_000:
+            raise NonConvergenceError("term bound never meets the tolerance")
     tail = 0.0
     for ell in range(terms_used + 1, terms_used + 500):
         b = fold_bound(c_emp, k, ell, n_eff, t_max)
@@ -335,12 +323,33 @@ def neumann_series(p: Parametrix, tol: float, max_terms: int = 10000) -> Neumann
             break
 
     F = np.zeros((m1, n, n))
-    F[:, supp, :] = f_s
+    residual = 0.0
+    if c_emp > 0.0:
+        lh_s = lh[:, supp, :]
+        l_ss = lh_s[:, :, supp]
+        l_prime = l_ss.copy()
+        l_prime[0] *= 0.5
+        num = -l_prime
+        num[0] -= 0.25 * dt * (l_ss[0] @ l_ss[0])
+        den = dt * l_prime
+        den[0] += np.eye(len(supp))
+        # overflow shows as a non-finite or huge F, reported just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_ss = _series_product(num, _series_inverse(den), m1)
+            f_ss[0] = -l_ss[0]
+            f_s = -lh_s - convolve_values(f_ss, lh_s, dt)
+            peak = float(np.abs(f_s).max())
+            if not math.isfinite(peak) or peak > 1e150:
+                raise NonConvergenceError(_COARSE_GRID)
+            f_blk = f_s[:, :, supp]
+            residual = float(np.abs(f_blk + l_ss + convolve_values(f_blk, l_ss, dt)).max())
+        F[:, supp, :] = f_s
     return NeumannSeriesResult(
         F=KernelSeries(p.grid, F),
         terms_used=terms_used,
         certified_tail=tail,
         bound_constant=c_emp,
+        residual=residual,
     )
 
 

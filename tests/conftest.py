@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
 from heatpar.graph import WeightedGraph
+from heatpar.series import fold_bound
 
 
 def besseli_oracle(n: int, x: float) -> float:
@@ -51,6 +53,52 @@ def naive_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
             acc += w * (a[j - r] @ b[r])
         out[j] = dt * acc
     return out
+
+
+def term_by_term_series(p, tol: float, max_terms: int = 10000):
+    """Reference for ``neumann_series``: sum F = Σ (−1)^ℓ (LH)^{*ℓ} one FFT
+    convolution at a time until the factorial bound for the next term, with
+    1.1·sup|LH| as the constant, drops below ``tol``, or a term falls below
+    1e-9·tol everywhere.  Returns the F values."""
+    lh = p.heat_image.values
+    m1, n = lh.shape[0], lh.shape[1]
+    supp = list(p.support) if p.support is not None else list(range(n))
+    n_eff = max(1, len(supp))
+    c_emp = 1.1 * float(np.abs(lh).max())
+    lh_s = lh[:, supp, :]
+    term = lh_s.copy()
+    f_s = -term
+    terms_used = 1
+    nfft = next_fast_len(2 * m1 - 1)
+    fb = rfft(lh_s, n=nfft, axis=0)
+    b0 = lh_s[0]
+    sign = -1.0
+    while c_emp > 0.0:
+        if fold_bound(c_emp, p.order, terms_used + 1, n_eff, p.grid.t_max) < tol:
+            break
+        if terms_used >= max_terms:
+            raise RuntimeError(f"reference series still above tol after {max_terms} terms")
+        # ((LH)^{*ℓ} * LH)(v1, v2) only sums over the support columns
+        a = term[:, :, supp]
+        fa = rfft(a, n=nfft, axis=0)
+        prod = np.einsum("fpq,fqr->fpr", fa, fb)
+        prod -= 0.5 * np.einsum("fpq,qr->fpr", fa, b0)
+        if terms_used == 1:
+            prod -= 0.5 * np.einsum("pq,fqr->fpr", a[0], fb)
+        term = irfft(prod, n=nfft, axis=0)[:m1]
+        term *= p.grid.dt
+        term[0] = 0.0
+        terms_used += 1
+        sign = -sign
+        f_s += sign * term
+        peak = float(np.abs(term).max())
+        if not np.isfinite(peak):
+            raise RuntimeError("reference series terms overflowed")
+        if peak < max(1e-250, 1e-9 * tol):
+            break
+    F = np.zeros((m1, n, n))
+    F[:, supp, :] = f_s
+    return F
 
 
 @pytest.fixture

@@ -143,6 +143,25 @@ class TestKernelCommand:
         )
         assert status == 2
 
+    def test_embed_on_coarse_grid_exits_3(self, tmp_path, capsys):
+        status = run_main(
+            [
+                "kernel",
+                "--graph",
+                case("path3_interval.json"),
+                "--method",
+                "parametrix-embed",
+                "--t-max",
+                "0.5",
+                "--steps",
+                "1024",
+                "--out",
+                str(tmp_path / "k.csv"),
+            ]
+        )
+        assert status == 3
+        assert "refine the time grid" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_oracles_agree(self, tmp_path):
@@ -316,3 +335,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["vertices"] == ["a", "b"]
+
+    def test_import_leaves_numpy_unloaded(self):
+        # main() sets the BLAS thread variables from HEATPAR_THREADS, which
+        # only has an effect if numpy is not loaded yet
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, heatpar.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

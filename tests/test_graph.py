@@ -143,6 +143,35 @@ class TestEmbedding:
         )
         assert boundary_sets(e) == boundary_sets(e2)
 
+    def test_boundary_weighted_lattice_hole(self):
+        # an 11×11 lattice with random weights and a 2×2 hole: exactly the 8
+        # vertices next to the hole lose an edge, even where an interior
+        # vertex's degree sums over G and over the ambient graph round apart
+        side, hole = 11, {(r, c) for r in (4, 5) for c in (4, 5)}
+        cells = [(r, c) for r in range(side) for c in range(side)]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            edges = []
+            for r, c in cells:
+                for r2, c2 in ((r, c + 1), (r + 1, c)):
+                    if r2 < side and c2 < side:
+                        w = float(rng.uniform(0.5, 1.5))
+                        edges.append((r * side + c, r2 * side + c2, w))
+            e = SubgraphEmbedding(
+                ambient=WeightedGraph.from_edges(side * side, edges),
+                kept=tuple(r * side + c for r, c in cells if (r, c) not in hole),
+            )
+            expected = {
+                r * side + c
+                for r, c in cells
+                if (r, c) not in hole
+                and any((r + dr, c + dc) in hole for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)))
+            }
+            assert len(expected) == 8
+            boundary, interior, _ = boundary_sets(e)
+            assert boundary == expected, f"seed {seed}"
+            assert interior == set(e.kept) - expected
+
     def test_adjacency_complement(self):
         e = k5_minus_edge()
         assert adjacency_complement(e, 0) == {1}

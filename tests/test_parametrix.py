@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from heatpar.bessel import besseli, besseli_row, z_window_kernel
-from heatpar.errors import ContractViolation
+from heatpar.embed1d import (
+    IntervalDomain,
+    averaged_parametrix,
+    build_bumps,
+    build_voronoi,
+    modes_for_time,
+)
+from heatpar.errors import ContractViolation, NonConvergenceError
 from heatpar.graph import SubgraphEmbedding, WeightedGraph
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel_series
 from heatpar.parametrix import (
@@ -19,9 +26,15 @@ from heatpar.parametrix import (
     restriction_parametrix,
     subgraph_kernel_closed_form,
 )
-from heatpar.series import KernelSeries, TimeGrid, convolve, sample_closed_form
+from heatpar.series import (
+    KernelSeries,
+    TimeGrid,
+    convolve,
+    convolve_values,
+    sample_closed_form,
+)
 
-from conftest import random_graph
+from conftest import random_graph, term_by_term_series
 
 
 def k5_minus_edge():
@@ -36,6 +49,17 @@ def halfline_window(w: int) -> SubgraphEmbedding:
     amb = WeightedGraph.path(w + 2)
     return SubgraphEmbedding(
         ambient=amb, kept=tuple(range(1, w + 2)), frontier=frozenset([w + 1])
+    )
+
+
+def path3_interval_parametrix(steps: int, t_max: float = 0.5) -> Parametrix:
+    """The averaged parametrix of ``cases/path3_interval.json`` as the CLI
+    builds it: vertices at 0.25, 0.5, 0.75 in (0, 1)."""
+    probe = 1e-4 / math.pi**2
+    dom = IntervalDomain(length=1.0, n_modes=modes_for_time(1.0, probe, 1e-10))
+    cells = build_voronoi([0.25, 0.5, 0.75], 1.0, 0.49)
+    return averaged_parametrix(
+        dom, cells, build_bumps(cells), TimeGrid(t_max, steps), WeightedGraph.path(3)
     )
 
 
@@ -165,6 +189,47 @@ class TestDirichletParametrix:
 
 
 class TestNeumannSeries:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: diagonal_parametrix(WeightedGraph.complete(8), TimeGrid(1.0, 400)),
+            lambda: restriction_parametrix(
+                k5_minus_edge(), complete_graph_kernel(5), TimeGrid(1.0, 1000)
+            ),
+            lambda: dirichlet_parametrix(
+                halfline_window(16), z_window_kernel(np.arange(-1, 17)), TimeGrid(1.0, 400)
+            ),
+            lambda: path3_interval_parametrix(8192),
+        ],
+        ids=["k8-diagonal", "k5-minus-edge", "dirichlet-halfline-w16", "path3-interval-8192"],
+    )
+    def test_direct_solve_matches_term_by_term(self, build):
+        p = build()
+        res = neumann_series(p, 1e-8)
+        ref = term_by_term_series(p, 1e-15)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(res.F.values - ref).max() <= 1e-12 * scale
+        # F solves the discrete equation F + LH + conv(F, LH) = 0, and
+        # ``residual`` is its sup on the support block
+        residual = res.F.values + p.heat_image.values + convolve(res.F, p.heat_image).values
+        assert np.abs(residual).max() <= 1e-12 * scale
+        supp = list(p.support) if p.support is not None else list(range(p.n))
+        f_blk = res.F.values[:, supp][:, :, supp]
+        l_blk = p.heat_image.values[:, supp][:, :, supp]
+        block = f_blk + l_blk + convolve_values(f_blk, l_blk, p.grid.dt)
+        assert res.residual == np.abs(block).max()
+
+    def test_tolerance_only_sizes_the_bound(self, rng):
+        g = random_graph(rng, n_max=5)
+        p = diagonal_parametrix(g, TimeGrid(1.0, 200))
+        loose, tight = neumann_series(p, 1e-4), neumann_series(p, 1e-10)
+        assert np.array_equal(loose.F.values, tight.F.values)
+        assert loose.residual == tight.residual
+
+    def test_coarse_grid_refused(self):
+        with pytest.raises(NonConvergenceError, match="refine the time grid"):
+            neumann_series(path3_interval_parametrix(1024), 1e-8)
+
     def test_zero_heat_image(self):
         g = WeightedGraph(np.zeros((3, 3)))
         p = diagonal_parametrix(g, TimeGrid(1.0, 8))

@@ -60,6 +60,7 @@ _EXPORTS = {
         "NeumannSeriesResult",
         "Parametrix",
         "assemble_heat_kernel",
+        "ambient_spectral_kernel",
         "b_matrix",
         "complete_graph_kernel",
         "diagonal_parametrix",
@@ -77,7 +78,6 @@ _EXPORTS = {
         "convolve",
         "convolve_values",
         "fold_bound",
-        "l_fold_convolve",
         "sample_closed_form",
     ),
 }

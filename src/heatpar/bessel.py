@@ -1,11 +1,12 @@
 """Integer-order modified Bessel functions I_n and the lattice heat kernels
 built from them.
 
-The evaluator uses the defining power series when the argument is small
+Single values use the defining power series when the argument is small
 relative to the order (x <= 2(n+1)) and a Miller-style backward recurrence
 normalized by Σ I_n = e^x otherwise; forward recurrence in growing order is
-unstable and is never used.  Everything is certified for 0 <= x <= x_max
-to an absolute tolerance.
+unstable and is never used.  Whole rows I_0..I_N come from the recurrence,
+run over an array of arguments at once.  Everything is certified for
+0 <= x <= x_max to an absolute tolerance.
 
 Two convolutions appear in this package: the one-variable time convolution
 (I_m * I_n)(x) = ∫_0^x I_m(τ) I_n(x−τ) dτ implemented here, and the graph
@@ -32,11 +33,13 @@ class BesselEvaluator:
     x_max: float = 40.0
     tol: float = 1e-12
 
-    def _check(self, n: int, x: float):
+    def _check(self, n: int, x):
         if n < 0 or int(n) != n:
             raise DomainError(f"order must be a nonnegative integer, got {n}")
-        if x < 0 or x > self.x_max:
-            raise DomainError(f"argument {x} outside certified range [0, {self.x_max}]")
+        xs = np.asarray(x, dtype=float)
+        outside = xs[(xs < 0) | (xs > self.x_max)]
+        if outside.size:
+            raise DomainError(f"argument {outside[0]} outside certified range [0, {self.x_max}]")
 
     def value(self, n: int, x: float) -> float:
         """I_n(x) by power series for x <= 2(n+1), Miller recurrence beyond."""
@@ -48,24 +51,18 @@ class BesselEvaluator:
             return _power_series(n, x)
         return float(self.row(n, x)[n])
 
-    def row(self, n_max: int, x: float) -> np.ndarray:
-        """All of I_0(x) .. I_{n_max}(x) from one backward recurrence pass."""
+    def row(self, n_max: int, x) -> np.ndarray:
+        """I_0(x) .. I_{n_max}(x) from one backward recurrence pass; for an
+        array of arguments, one pass for all of them, with the orders on a
+        new last axis."""
         self._check(n_max, x)
-        n_max = int(n_max)
-        if x == 0.0:
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        return _miller_row(n_max, x)
+        xs = np.asarray(x, dtype=float)
+        return _miller_rows(int(n_max), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
 
     def grid(self, n: int, xs: np.ndarray) -> np.ndarray:
         """Vectorized I_n over an array of arguments (power series)."""
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0) or np.any(xs > self.x_max):
-            raise DomainError("arguments outside certified range")
-        if n < 0:
-            raise DomainError("order must be nonnegative")
-        return _power_series_grid(int(n), xs)
+        self._check(n, xs)
+        return _power_series_grid(int(n), np.asarray(xs, dtype=float))
 
 
 def _power_series(n: int, x: float) -> float:
@@ -104,40 +101,53 @@ def _power_series_grid(n: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _miller_row(n_max: int, x: float) -> np.ndarray:
-    start = int(max(n_max, math.ceil(x))) + 60
-    row = np.zeros(n_max + 1)
-    b_hi = 0.0
-    b = 1e-300
-    norm = 0.0
-    for k in range(start, 0, -1):
+def _miller_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
+    # one recurrence per argument, each from its own start order; a column
+    # keeps its seed values until the shared countdown reaches its start
+    rows = np.zeros((xs.size, n_max + 1))
+    rows[xs == 0.0, 0] = 1.0
+    pos = xs > 0.0
+    x = xs[pos]
+    if not x.size:
+        return rows
+    start = np.maximum(n_max, np.ceil(x)).astype(int) + 60
+    out = np.zeros((x.size, n_max + 1))
+    b_hi = np.zeros(x.size)
+    b = np.full(x.size, 1e-300)
+    norm = np.zeros(x.size)
+    for k in range(int(start.max()), 0, -1):
+        on = start >= k
         b_lo = b_hi + (2.0 * k / x) * b
-        b_hi, b = b, b_lo
+        b_hi = np.where(on, b, b_hi)
+        b = np.where(on, b_lo, b)
         if k - 1 <= n_max:
-            row[k - 1] = b
-        norm += 2.0 * b if k - 1 > 0 else b
-        if abs(b) > _RESCALE:
-            b_hi /= _RESCALE
-            b /= _RESCALE
-            norm /= _RESCALE
-            row /= _RESCALE
-    return row * (math.exp(x) / norm)
+            out[:, k - 1] = b
+        norm += np.where(on, 2.0 * b if k - 1 > 0 else b, 0.0)
+        big = np.abs(b) > _RESCALE
+        if big.any():
+            b_hi[big] /= _RESCALE
+            b[big] /= _RESCALE
+            norm[big] /= _RESCALE
+            out[big] /= _RESCALE
+    rows[pos] = out * (np.exp(x) / norm)[:, None]
+    return rows
 
 
 _DEFAULT = BesselEvaluator()
 
 
-def besseli(n: int, x: float, evaluator: BesselEvaluator = _DEFAULT) -> float:
+def besseli(n: int, x: float) -> float:
     """Modified Bessel function I_n(x), n >= 0, 0 <= x <= x_max."""
-    return evaluator.value(n, x)
+    return _DEFAULT.value(n, x)
 
 
-def besseli_row(n_max: int, x: float, evaluator: BesselEvaluator = _DEFAULT) -> np.ndarray:
-    return evaluator.row(n_max, x)
+def besseli_row(n_max: int, x) -> np.ndarray:
+    """I_0 .. I_{n_max} at ``x``, a number or an array (orders on the last axis)."""
+    return _DEFAULT.row(n_max, x)
 
 
-def besseli_grid(n: int, xs, evaluator: BesselEvaluator = _DEFAULT) -> np.ndarray:
-    return evaluator.grid(n, np.asarray(xs, dtype=float))
+def besseli_grid(n: int, xs) -> np.ndarray:
+    return _DEFAULT.grid(n, np.asarray(xs, dtype=float))
 
 
 def bessel_tail_bound(n: int, x: float) -> float:
@@ -188,88 +198,45 @@ def kernel_halfline_dirichlet(x: int, y: int, t: float) -> float:
     return math.exp(-a) * (besseli(abs(x - y), a) - besseli(x + y, a))
 
 
-def _scaled_bessel_dt(m: int, x: float, row: np.ndarray) -> float:
-    # d/dt [e^{−2t} I_m(2t)] at 2t = x, using I_m' = (I_{m−1} + I_{m+1})/2
-    im1 = row[1] if m == 0 else row[m - 1]
-    return math.exp(-x) * (im1 + row[m + 1] - 2.0 * row[m])
+def _lattice_kernel(family: str, dist: np.ndarray, refl=None, sign: float = 1.0):
+    """Kernel e^{−2t}(I_dist(2t) + sign·I_refl(2t)) entrywise, the reflected
+    term left out when ``refl`` is None; one recurrence row per sample time."""
+    top = int((dist if refl is None else refl).max())
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        x = 2.0 * np.asarray(times, dtype=float)
+        rows = besseli_row(top, x)
+        vals = rows[:, dist]
+        if refl is not None:
+            vals += (sign * rows)[:, refl]
+        vals *= np.exp(-x)[:, None, None]
+        return vals
+
+    return ClosedFormKernel(family, dist.shape[0], sample)
 
 
 def z_window_kernel(offsets) -> ClosedFormKernel:
-    """Closed-form integer-line kernel on a window of lattice coordinates.
-
-    ``offsets[i]`` is the lattice coordinate of window vertex i; entries are
-    e^{−2t} I_{|offsets[i]−offsets[j]|}(2t) with the exact time derivative.
-    """
+    """Closed-form integer-line kernel on a window of lattice coordinates:
+    ``offsets[i]`` is the lattice coordinate of window vertex i, and entries
+    are e^{−2t} I_{|offsets[i]−offsets[j]|}(2t)."""
     offsets = np.asarray(offsets, dtype=int)
-    n = offsets.size
-    dist = np.abs(offsets[:, None] - offsets[None, :])
-    max_order = int(dist.max())
-
-    def matrix(t: float) -> np.ndarray:
-        x = 2.0 * t
-        row = besseli_row(max_order, x)
-        return math.exp(-x) * row[dist]
-
-    def evaluator(i: int, j: int, t: float) -> float:
-        return kernel_Z(int(offsets[i]), int(offsets[j]), t)
-
-    def time_derivative(i: int, j: int, t: float) -> float:
-        m = int(dist[i, j])
-        row = besseli_row(m + 1, 2.0 * t)
-        return _scaled_bessel_dt(m, 2.0 * t, row)
-
-    return ClosedFormKernel(evaluator, time_derivative, "integer-line", n, matrix)
+    return _lattice_kernel("integer-line", np.abs(offsets[:, None] - offsets[None, :]))
 
 
 def halfline_window_kernel(n: int) -> ClosedFormKernel:
-    """Closed-form half-line kernel on coordinates 0..n−1 with the exact
-    time derivative."""
-    coords = np.arange(n)
-    dist = np.abs(coords[:, None] - coords[None, :])
-    refl = coords[:, None] + coords[None, :] + 1
-    max_order = int(refl.max())
-
-    def matrix(t: float) -> np.ndarray:
-        x = 2.0 * t
-        row = besseli_row(max_order, x)
-        return math.exp(-x) * (row[dist] + row[refl])
-
-    def evaluator(i: int, j: int, t: float) -> float:
-        return kernel_halfline(i, j, t)
-
-    def time_derivative(i: int, j: int, t: float) -> float:
-        x = 2.0 * t
-        row = besseli_row(int(refl[i, j]) + 1, x)
-        return _scaled_bessel_dt(int(dist[i, j]), x, row) + _scaled_bessel_dt(
-            int(refl[i, j]), x, row
-        )
-
-    return ClosedFormKernel(evaluator, time_derivative, "half-line", n, matrix)
+    """Closed-form half-line kernel on coordinates 0..n−1."""
+    c = np.arange(n)
+    return _lattice_kernel(
+        "half-line", np.abs(c[:, None] - c[None, :]), c[:, None] + c[None, :] + 1
+    )
 
 
 def halfline_dirichlet_closed_form(n: int) -> ClosedFormKernel:
     """Closed-form Dirichlet half-line kernel on coordinates 0..n−1."""
-    coords = np.arange(n)
-    dist = np.abs(coords[:, None] - coords[None, :])
-    refl = coords[:, None] + coords[None, :]
-    max_order = int(refl.max())
-
-    def matrix(t: float) -> np.ndarray:
-        x = 2.0 * t
-        row = besseli_row(max_order, x)
-        return math.exp(-x) * (row[dist] - row[refl])
-
-    def evaluator(i: int, j: int, t: float) -> float:
-        return kernel_halfline_dirichlet(i, j, t)
-
-    def time_derivative(i: int, j: int, t: float) -> float:
-        x = 2.0 * t
-        row = besseli_row(int(refl[i, j]) + 1, x)
-        return _scaled_bessel_dt(int(dist[i, j]), x, row) - _scaled_bessel_dt(
-            int(refl[i, j]), x, row
-        )
-
-    return ClosedFormKernel(evaluator, time_derivative, "half-line-dirichlet", n, matrix)
+    c = np.arange(n)
+    return _lattice_kernel(
+        "half-line-dirichlet", np.abs(c[:, None] - c[None, :]), c[:, None] + c[None, :], -1.0
+    )
 
 
 # ---------------------------------------------------------------------------

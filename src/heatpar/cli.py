@@ -78,13 +78,9 @@ def _emit_table(times, names, values, fmt: str, out: str | None, meta: dict):
 def _ambient_closed_form(doc):
     """Pick the ambient heat kernel: complete-graph or integer-line closed
     forms when the structure matches, the ambient spectral kernel otherwise."""
-    import numpy as np
-
     from .bessel import z_window_kernel
     from .documents import ambient_is_unit_complete, ambient_path_coordinates
-    from .oracle import spectral_decomposition
-    from .parametrix import complete_graph_kernel
-    from .series import ClosedFormKernel
+    from .parametrix import ambient_spectral_kernel, complete_graph_kernel
 
     e = doc.embedding
     if ambient_is_unit_complete(e):
@@ -92,23 +88,7 @@ def _ambient_closed_form(doc):
     coords = ambient_path_coordinates(e)
     if coords is not None and e.frontier:
         return z_window_kernel(coords)
-    decomp = spectral_decomposition(e.ambient)
-
-    def matrix(t: float):
-        return decomp.heat_matrix(t)
-
-    def matrix_dt(t: float):
-        lam, v = decomp.eigenvalues, decomp.eigenvectors
-        return (v * (-lam * np.exp(-lam * t))) @ v.T
-
-    return ClosedFormKernel(
-        evaluator=lambda x, y, t: float(matrix(t)[x, y]),
-        time_derivative=lambda x, y, t: float(matrix_dt(t)[x, y]),
-        family="ambient-spectral",
-        n=e.ambient.n,
-        matrix=matrix,
-        matrix_time_derivative=matrix_dt,
-    )
+    return ambient_spectral_kernel(e.ambient)
 
 
 def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
@@ -181,10 +161,8 @@ def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
         if doc.embedding is not None:
             if not ambient_is_unit_complete(doc.embedding):
                 raise ParseError("closed-form-complete needs a unit-weight complete ambient")
-            vals = np.stack(
-                [subgraph_kernel_closed_form(doc.embedding, float(t)) for t in grid.nodes]
-            )
-            return grid.nodes, doc.names, vals
+            kernel = subgraph_kernel_closed_form(doc.embedding)
+            return grid.nodes, doc.names, sample_closed_form(kernel, grid).values
         trivial = SubgraphEmbedding.trivial(g)
         if not ambient_is_unit_complete(trivial):
             raise ParseError("closed-form-complete needs a unit-weight complete graph")

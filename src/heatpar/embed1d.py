@@ -273,48 +273,26 @@ def averaged_parametrix(
     else:
         norm = 1.0 / mu[:, None] * np.ones((1, len(cells)))
 
-    def matrix(t: float) -> np.ndarray:
-        w = (2.0 / d.length) * np.exp(-rates * t)
-        return norm * ((s * w[:, None]).T @ s)
-
-    def matrix_dt(t: float) -> np.ndarray:
-        w = -(2.0 / d.length) * rates * np.exp(-rates * t)
-        return norm * ((s * w[:, None]).T @ s)
-
-    def evaluator(x: int, y: int, t: float) -> float:
-        return float(matrix(t)[x, y])
-
-    def time_derivative(x: int, y: int, t: float) -> float:
-        return float(matrix_dt(t)[x, y])
-
-    kernel = ClosedFormKernel(
-        evaluator, time_derivative, "sine-series", graph.n, matrix, matrix_dt
-    )
-
-    # sample the kernel and its heat image over the whole grid in chunks;
-    # mode sums collapse to one matrix product per chunk
+    # mode sums collapse to one matrix product per chunk of times, with the
+    # (times × modes) exponentials kept to a bounded size
     nv = graph.n
-    lap = graph.laplacian_matrix()
     pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
-    pair_dt = pair * (-rates[:, None])
-    nodes = grid.nodes
-    h_samples = np.empty((nodes.size, nv, nv))
-    lh = np.empty_like(h_samples)
     chunk = max(1, 8_388_608 // max(1, d.n_modes))
-    for j0 in range(0, nodes.size, chunk):
-        t_chunk = nodes[j0 : j0 + chunk]
-        w = np.exp(-np.outer(t_chunk, rates))
-        h_c = (w @ pair).reshape(-1, nv, nv) * norm
-        dh_c = (w @ pair_dt).reshape(-1, nv, nv) * norm
-        h_samples[j0 : j0 + chunk] = h_c
-        lh[j0 : j0 + chunk] = np.einsum("xv,cvw->cxw", lap, h_c) + dh_c
-    return Parametrix(
-        kernel=kernel,
-        heat_image=KernelSeries(grid, lh),
-        grid=grid,
-        order=0,
-        kernel_samples=KernelSeries(grid, h_samples),
-    )
+
+    def mode_sums(times: np.ndarray, *coefs: np.ndarray) -> list[np.ndarray]:
+        outs = [np.empty((len(times), nv, nv)) for _ in coefs]
+        for j0 in range(0, len(times), chunk):
+            w = np.exp(-np.outer(times[j0 : j0 + chunk], rates))
+            for out, coef in zip(outs, coefs):
+                out[j0 : j0 + chunk] = (w @ coef).reshape(-1, nv, nv) * norm
+        return outs
+
+    kernel = ClosedFormKernel("sine-series", nv, lambda times: mode_sums(times, pair)[0])
+    # H and its termwise time derivative share one pass of exponentials;
+    # LH = ΔH + ∂_t H
+    h, dh = mode_sums(grid.nodes, pair, pair * (-rates[:, None]))
+    lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh
+    return Parametrix(kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, order=0)
 
 
 def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> KernelSeries:
@@ -324,8 +302,8 @@ def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> KernelSeri
         raise ContractViolation("parametrix and graph sizes differ")
     series = neumann_series(p, tol)
     out = assemble_heat_kernel(p, series)
-    corr = out.values[1] - p.kernel_series().values[1]
-    h_scale = float(np.abs(p.kernel_series().values[1]).max())
+    corr = out.values[1] - p.samples.values[1]
+    h_scale = float(np.abs(p.samples.values[1]).max())
     limit = 4.0 * series.bound_constant * p.n * p.grid.dt * max(1.0, h_scale) + 1e-12
     if np.abs(corr).max() > limit:
         raise NumericalBudgetError(

@@ -23,7 +23,7 @@ class NumericalBudgetError(RuntimeError):
 
 
 class SamplingError(NumericalBudgetError):
-    """A closed-form evaluator returned a non-finite value."""
+    """A closed-form kernel returned a non-finite value."""
 
 
 class ResolutionError(NumericalBudgetError):

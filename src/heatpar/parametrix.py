@@ -36,33 +36,31 @@ from .series import (
 
 @dataclass(frozen=True)
 class Parametrix:
-    """An approximate heat kernel together with its exact heat image.
+    """An approximate heat kernel, its grid samples and its exact heat image.
 
-    ``kernel`` carries the Dirac initial condition; ``heat_image`` holds
-    LH = (Δ + ∂_t)H sampled on the grid.  ``order`` is the integer k with
-    |LH| = O(t^k) near zero (all constructions here have k = 0).  When
-    ``support`` is set, ``heat_image`` vanishes off support × V in the
-    first variable and the series convolutions only sum over that set.
+    ``kernel`` is the closed form, carrying the Dirac initial condition;
+    ``samples`` holds it at the grid nodes and ``heat_image`` holds
+    LH = (Δ + ∂_t)H there.  ``order`` is the integer k with |LH| = O(t^k)
+    near zero (all constructions here have k = 0).  When ``support`` is
+    set, ``heat_image`` vanishes off support × V in the first variable and
+    the series convolutions only sum over that set.
     """
 
-    kernel: ClosedFormKernel | KernelSeries
+    kernel: ClosedFormKernel
+    samples: KernelSeries
     heat_image: KernelSeries
     grid: TimeGrid
     order: int = 0
     support: tuple[int, ...] | None = None
-    kernel_samples: KernelSeries | None = None
 
     def __post_init__(self):
-        if self.heat_image.grid != self.grid:
-            raise ContractViolation("heat image grid does not match parametrix grid")
+        if self.heat_image.grid != self.grid or self.samples.grid != self.grid:
+            raise ContractViolation("samples or heat image do not match the parametrix grid")
         n = self.heat_image.n
-        kn = self.kernel.n
-        if kn != n:
-            raise ContractViolation(f"kernel has {kn} vertices, heat image {n}")
-        if self.kernel_samples is not None and (
-            self.kernel_samples.grid != self.grid or self.kernel_samples.n != n
-        ):
-            raise ContractViolation("kernel samples do not match the parametrix grid")
+        if self.kernel.n != n or self.samples.n != n:
+            raise ContractViolation(
+                f"kernel has {self.kernel.n} vertices, samples {self.samples.n}, heat image {n}"
+            )
         if self.support is not None:
             supp = tuple(sorted(set(int(v) for v in self.support)))
             if supp and (supp[0] < 0 or supp[-1] >= n):
@@ -75,13 +73,6 @@ class Parametrix:
     @property
     def n(self) -> int:
         return self.heat_image.n
-
-    def kernel_series(self) -> KernelSeries:
-        if self.kernel_samples is not None:
-            return self.kernel_samples
-        if isinstance(self.kernel, KernelSeries):
-            return self.kernel
-        return sample_closed_form(self.kernel, self.grid)
 
 
 @dataclass(frozen=True)
@@ -101,21 +92,27 @@ def diagonal_parametrix(g: WeightedGraph, grid: TimeGrid) -> Parametrix:
     Its heat image is exactly LH(x,y;t) = −w_xy e^{−μ(y)t}, zero on the
     diagonal, so no differentiation is ever needed.
     """
-    mu = g.mu
+    diag = np.arange(g.n)
 
-    def evaluator(x: int, y: int, t: float) -> float:
-        return math.exp(-mu[x] * t) if x == y else 0.0
+    def sample(times: np.ndarray) -> np.ndarray:
+        vals = np.zeros((len(times), g.n, g.n))
+        vals[:, diag, diag] = np.exp(-np.outer(times, g.mu))
+        return vals
 
-    def time_derivative(x: int, y: int, t: float) -> float:
-        return -mu[x] * math.exp(-mu[x] * t) if x == y else 0.0
-
-    def matrix(t: float) -> np.ndarray:
-        return np.diag(np.exp(-mu * t))
-
-    kernel = ClosedFormKernel(evaluator, time_derivative, "diagonal-exponential", g.n, matrix)
-    decay = np.exp(-np.outer(grid.nodes, mu))  # (M+1, n) of e^{−μ(y)t}
+    kernel = ClosedFormKernel("diagonal-exponential", g.n, sample)
+    h = sample_closed_form(kernel, grid)
+    decay = h.values[:, diag, diag]  # (M+1, n) of e^{−μ(y)t}
     vals = -decay[:, None, :] * g.weights[None, :, :]
-    return Parametrix(kernel=kernel, heat_image=KernelSeries(grid, vals), grid=grid, order=0)
+    return Parametrix(kernel, h, KernelSeries(grid, vals), grid, order=0)
+
+
+def _restricted_sample(ambient_kernel: ClosedFormKernel, kept: np.ndarray, zero_rows=()):
+    def sample(times: np.ndarray) -> np.ndarray:
+        vals = ambient_kernel.sample(times)[:, kept[:, None], kept[None, :]]
+        vals[:, zero_rows] = 0.0
+        return vals
+
+    return sample
 
 
 def restriction_parametrix(
@@ -124,50 +121,35 @@ def restriction_parametrix(
     """Restrict an ambient heat kernel to the subgraph and read off its heat
     image from the missing-neighbor formula
 
-        LH(v1, v2; t) = −Σ_{v ∈ A(v1)} (H(v1, v2; t) − H(v, v2; t)) w̃_{v1 v},
+        LH(v1, v2; t) = −Σ_{v ∈ A(v1)} (H̃(v1, v2; t) − H̃(v, v2; t)) w̃_{v1 v},
 
-    which is supported on the subgraph boundary in the first variable.
+    which is supported on the subgraph boundary in the first variable.  The
+    ambient kernel is sampled once; every boundary row of LH comes from one
+    product of those samples with the missing-neighbor weights.
     ``ambient_kernel`` must be the heat kernel of ``e.ambient`` (for windows
     of an infinite graph: of the infinite graph, with window truncation
     certified separately).
     """
     if ambient_kernel.n != e.ambient.n:
         raise ContractViolation("ambient kernel size does not match ambient graph")
-    boundary, _, _ = boundary_sets(e)
+    boundary = sorted(boundary_sets(e)[0])
     kept = np.array(e.kept)
-    n = e.n
-
-    def evaluator(i: int, j: int, t: float) -> float:
-        return ambient_kernel.evaluator(int(kept[i]), int(kept[j]), t)
-
-    def time_derivative(i: int, j: int, t: float) -> float:
-        return ambient_kernel.time_derivative(int(kept[i]), int(kept[j]), t)
-
-    def matrix(t: float) -> np.ndarray:
-        return ambient_kernel.at(t)[np.ix_(kept, kept)]
-
+    # row of v1: +w̃_{v1 v} at each missing neighbor v, −Σ_{v ∈ A(v1)} w̃_{v1 v} at v1
+    coupling = np.zeros((len(boundary), e.ambient.n))
+    for i, v1 in enumerate(boundary):
+        missing = sorted(adjacency_complement(e, v1))
+        coupling[i, missing] = e.ambient.weights[v1, missing]
+        coupling[i, v1] = -coupling[i].sum()
+    amb = sample_closed_form(ambient_kernel, grid).values
+    h = amb[:, kept[:, None], kept[None, :]]
+    lh = np.zeros_like(h)
+    support = np.array([e.subgraph_index(v) for v in boundary], dtype=int)
+    lh[:, support, :] = (coupling @ amb)[:, :, kept]
     kernel = ClosedFormKernel(
-        evaluator, time_derivative, f"restricted-{ambient_kernel.family}", n, matrix
+        f"restricted-{ambient_kernel.family}", e.n, _restricted_sample(ambient_kernel, kept)
     )
-
-    complements = {v1: sorted(adjacency_complement(e, v1)) for v1 in sorted(boundary)}
-    vals = np.zeros((grid.steps + 1, n, n))
-    for j, t in enumerate(grid.nodes):
-        h_amb = ambient_kernel.at(float(t))
-        for v1, comp in complements.items():
-            i = e.subgraph_index(v1)
-            row = np.zeros(n)
-            for v in comp:
-                wt = e.ambient.weights[v1, v]
-                row -= wt * (h_amb[v1, kept] - h_amb[v, kept])
-            vals[j, i] = row
-    support = tuple(sorted(e.subgraph_index(v) for v in boundary))
     return Parametrix(
-        kernel=kernel,
-        heat_image=KernelSeries(grid, vals),
-        grid=grid,
-        order=0,
-        support=support,
+        kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, support=tuple(support)
     )
 
 
@@ -182,64 +164,29 @@ def dirichlet_parametrix(
 
       * v1 in ∂G:          LH(v1, v2) = −Σ_{y interior} w_{v1 y} H̃(y, v2)
       * v1 adjacent to ∂G: LH(v1, v2) = Σ_{y ∈ ∂G} w_{v1 y} H̃(y, v2)
-      * elsewhere:         0.
+      * elsewhere:         0,
+
+    that is one coupling-matrix product with the restricted ambient samples.
     """
     if ambient_kernel.n != e.ambient.n:
         raise ContractViolation("ambient kernel size does not match ambient graph")
-    boundary, interior, second = boundary_sets(e)
-    kept = np.array(e.kept)
-    n = e.n
-    sub = e.subgraph
-    b_idx = sorted(e.subgraph_index(v) for v in boundary)
-    b_set = frozenset(b_idx)
-    int_idx = sorted(e.subgraph_index(v) for v in interior)
-    zero_rows = np.array(b_idx, dtype=int)
-
-    def evaluator(i: int, j: int, t: float) -> float:
-        if i in b_set:
-            return 0.0
-        return ambient_kernel.evaluator(int(kept[i]), int(kept[j]), t)
-
-    def time_derivative(i: int, j: int, t: float) -> float:
-        if i in b_set:
-            return 0.0
-        return ambient_kernel.time_derivative(int(kept[i]), int(kept[j]), t)
-
-    def matrix(t: float) -> np.ndarray:
-        m = ambient_kernel.at(t)[np.ix_(kept, kept)]
-        m[zero_rows, :] = 0.0
-        return m
-
-    kernel = ClosedFormKernel(
-        evaluator, time_derivative, f"dirichlet-{ambient_kernel.family}", n, matrix
+    boundary, interior, second = (
+        np.array(sorted(e.subgraph_index(v) for v in vs), dtype=int) for vs in boundary_sets(e)
     )
-
-    vals = np.zeros((grid.steps + 1, n, n))
-    for j, t in enumerate(grid.nodes):
-        h_amb = ambient_kernel.at(float(t))[np.ix_(kept, kept)]
-        for v1 in sorted(boundary):
-            i = e.subgraph_index(v1)
-            row = np.zeros(n)
-            for y in int_idx:
-                wt = sub.weights[i, y]
-                if wt != 0.0:
-                    row -= wt * h_amb[y]
-            vals[j, i] = row
-        for v1 in sorted(second):
-            i = e.subgraph_index(v1)
-            row = np.zeros(n)
-            for y in b_idx:
-                wt = sub.weights[i, y]
-                if wt != 0.0:
-                    row += wt * h_amb[y]
-            vals[j, i] = row
-    support = tuple(sorted(set(b_idx) | {e.subgraph_index(v) for v in second}))
+    kept = np.array(e.kept)
+    w = e.subgraph.weights
+    coupling = np.zeros((e.n, e.n))
+    coupling[np.ix_(boundary, interior)] = -w[np.ix_(boundary, interior)]
+    coupling[np.ix_(second, boundary)] = w[np.ix_(second, boundary)]
+    support = np.union1d(boundary, second)
+    h = sample_closed_form(ambient_kernel, grid).values[:, kept[:, None], kept[None, :]]
+    lh = np.zeros_like(h)
+    lh[:, support, :] = coupling[support, :] @ h
+    h[:, boundary, :] = 0.0
+    sample = _restricted_sample(ambient_kernel, kept, boundary)
+    kernel = ClosedFormKernel(f"dirichlet-{ambient_kernel.family}", e.n, sample)
     return Parametrix(
-        kernel=kernel,
-        heat_image=KernelSeries(grid, vals),
-        grid=grid,
-        order=0,
-        support=support,
+        kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, support=tuple(support)
     )
 
 
@@ -357,7 +304,7 @@ def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> KernelSe
     """H_G = H + H * F, with the convolution restricted to the support of F."""
     if series.F.grid != p.grid:
         raise ContractViolation("series grid does not match parametrix grid")
-    h = p.kernel_series().values
+    h = p.samples.values
     supp = list(p.support) if p.support is not None else list(range(p.n))
     corr = convolve_values(h[:, :, supp], series.F.values[:, supp, :], p.grid.dt)
     return KernelSeries(p.grid, h + corr)
@@ -377,24 +324,28 @@ def complete_graph_kernel(n: int) -> ClosedFormKernel:
     1/N + (1 − 1/N) e^{−Nt} on the diagonal, 1/N − e^{−Nt}/N off it."""
     if n < 2:
         raise ContractViolation("complete graph needs at least 2 vertices")
+    diag = np.arange(n)
 
-    def evaluator(x: int, y: int, t: float) -> float:
-        if x == y:
-            return 1.0 / n + (1.0 - 1.0 / n) * math.exp(-n * t)
-        return 1.0 / n - math.exp(-n * t) / n
+    def sample(times: np.ndarray) -> np.ndarray:
+        decay = np.exp(-n * np.asarray(times, dtype=float))
+        vals = np.empty((decay.size, n, n))
+        vals[:] = (1.0 / n - decay / n)[:, None, None]
+        vals[:, diag, diag] = (1.0 / n + (1.0 - 1.0 / n) * decay)[:, None]
+        return vals
 
-    def time_derivative(x: int, y: int, t: float) -> float:
-        if x == y:
-            return -(n - 1.0) * math.exp(-n * t)
-        return math.exp(-n * t)
+    return ClosedFormKernel("complete-graph", n, sample)
 
-    def matrix(t: float) -> np.ndarray:
-        off = 1.0 / n - math.exp(-n * t) / n
-        m = np.full((n, n), off)
-        np.fill_diagonal(m, 1.0 / n + (1.0 - 1.0 / n) * math.exp(-n * t))
-        return m
 
-    return ClosedFormKernel(evaluator, time_derivative, "complete-graph", n, matrix)
+def ambient_spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
+    """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ of a finite graph, for ambients
+    with no closed form.  It uses LAPACK's symmetric eigensolver, so the
+    Jacobi-based ``spectral`` oracle stays independent of it."""
+    lam, v = np.linalg.eigh(g.laplacian_matrix())
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        return (v * np.exp(-np.outer(times, lam))[:, None, :]) @ v.T
+
+    return ClosedFormKernel("ambient-spectral", g.n, sample)
 
 
 def _require_complete_ambient(e: SubgraphEmbedding):
@@ -421,13 +372,20 @@ def b_matrix(e: SubgraphEmbedding) -> np.ndarray:
     return b
 
 
-def subgraph_kernel_closed_form(e: SubgraphEmbedding, t: float) -> np.ndarray:
+def subgraph_kernel_closed_form(e: SubgraphEmbedding) -> ClosedFormKernel:
     """Exact heat kernel of a complete graph with edges removed:
-    H_{K_N}(t) + e^{−Nt}(exp(tB) − Id), evaluated through the symmetric
+    H_{K_N}(t) + e^{−Nt}(exp(tB) − Id), from one symmetric
     eigendecomposition of B."""
     _require_complete_ambient(e)
     n = e.ambient.n
-    b = b_matrix(e)
-    lam, v = jacobi_eigh(b)
-    etb = (v * np.exp(lam * t)) @ v.T
-    return complete_graph_kernel(n).at(t) + math.exp(-n * t) * (etb - np.eye(n))
+    lam, v = jacobi_eigh(b_matrix(e))
+    complete = complete_graph_kernel(n)
+    diag = np.arange(n)
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        etb = (v * np.exp(np.outer(times, lam))[:, None, :]) @ v.T
+        etb[:, diag, diag] -= 1.0
+        return complete.sample(times) + np.exp(-n * times)[:, None, None] * etb
+
+    return ClosedFormKernel("complete-graph-minus-edges", n, sample)

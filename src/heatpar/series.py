@@ -81,37 +81,18 @@ class KernelSeries:
 
 @dataclass(frozen=True)
 class ClosedFormKernel:
-    """Analytically evaluable kernel with an exact time derivative.
+    """Analytically evaluable n×n kernel, sampled over many times at once.
 
-    ``evaluator`` and ``time_derivative`` map (x, y, t) to a float.  The
-    optional ``matrix`` / ``matrix_time_derivative`` fast paths return whole
-    n×n slices at one time and must agree with the scalar forms entrywise.
+    ``sample`` maps a 1-D array of T times to the (T, n, n) kernel values;
+    :func:`sample_closed_form` is the grid sampler built on it.
     """
 
-    evaluator: Callable[[int, int, float], float]
-    time_derivative: Callable[[int, int, float], float]
     family: str
     n: int
-    matrix: Callable[[float], np.ndarray] | None = None
-    matrix_time_derivative: Callable[[float], np.ndarray] | None = None
+    sample: Callable[[np.ndarray], np.ndarray]
 
     def at(self, t: float) -> np.ndarray:
-        if self.matrix is not None:
-            return np.asarray(self.matrix(t), dtype=float)
-        out = np.empty((self.n, self.n))
-        for x in range(self.n):
-            for y in range(self.n):
-                out[x, y] = self.evaluator(x, y, t)
-        return out
-
-    def derivative_at(self, t: float) -> np.ndarray:
-        if self.matrix_time_derivative is not None:
-            return np.asarray(self.matrix_time_derivative(t), dtype=float)
-        out = np.empty((self.n, self.n))
-        for x in range(self.n):
-            for y in range(self.n):
-                out[x, y] = self.time_derivative(x, y, t)
-        return out
+        return self.sample(np.array([float(t)]))[0]
 
 
 def _require_compatible(f1: KernelSeries, f2: KernelSeries):
@@ -155,16 +136,6 @@ def convolve(f1: KernelSeries, f2: KernelSeries) -> KernelSeries:
     return KernelSeries(f1.grid, convolve_values(f1.values, f2.values, f1.grid.dt))
 
 
-def l_fold_convolve(f: KernelSeries, ell: int) -> KernelSeries:
-    """Iterated convolution f^{*ell}; ell = 1 returns f itself."""
-    if ell < 1:
-        raise ContractViolation("fold count must be >= 1 (the identity is not on the grid)")
-    out = f
-    for _ in range(ell - 1):
-        out = convolve(out, f)
-    return out
-
-
 def convolution_bound(c1: float, k: int, c2: float, ell: int, n: int, t: float) -> float:
     """Upper bound C1·C2·n·k!ℓ!/(k+ℓ+1)!·t^{k+ℓ+1} for a single convolution
     of kernels bounded by C1·t^k and C2·t^ℓ on an n-vertex graph."""
@@ -197,14 +168,13 @@ def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:
 
 
 def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> KernelSeries:
-    """Sample a closed-form kernel at every grid node."""
-    vals = np.empty((grid.steps + 1, kernel.n, kernel.n))
-    for j, t in enumerate(grid.nodes):
-        vals[j] = kernel.at(float(t))
-        if not np.all(np.isfinite(vals[j])):
-            x, y = np.argwhere(~np.isfinite(vals[j]))[0]
-            raise SamplingError(
-                f"{kernel.family} kernel returned a non-finite value at "
-                f"(x={x}, y={y}, t={t})"
-            )
+    """Sample a closed-form kernel at every grid node in one call."""
+    vals = np.asarray(kernel.sample(grid.nodes), dtype=float)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        j, x, y = bad[0]
+        raise SamplingError(
+            f"{kernel.family} kernel returned a non-finite value at "
+            f"(x={x}, y={y}, t={grid.nodes[j]})"
+        )
     return KernelSeries(grid, vals)

@@ -42,6 +42,25 @@ def random_graph(rng: np.random.Generator, n_max: int = 10, w_max: float = 2.0,
     return WeightedGraph(w * (mask + mask.T))
 
 
+def lattice_hole_document(seed: int, side: int = 9, hole=(3, 4)) -> dict:
+    """Graph document of a side×side lattice with seeded weights in
+    [0.5, 1.5] as the ambient graph and the ``hole``×``hole`` block of
+    vertices left out of the kept set."""
+    rng = np.random.default_rng(seed)
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    edges = [
+        [f"{r}_{c}", f"{r2}_{c2}", float(rng.uniform(0.5, 1.5))]
+        for r, c in cells
+        for r2, c2 in ((r, c + 1), (r + 1, c))
+        if r2 < side and c2 < side
+    ]
+    missing = {(r, c) for r in hole for c in hole}
+    return {
+        "vertices": [f"{r}_{c}" for r, c in cells if (r, c) not in missing],
+        "ambient": {"vertices": [f"{r}_{c}" for r, c in sorted(missing)], "edges": edges},
+    }
+
+
 def naive_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """Direct-sum trapezoid convolution; reference for the FFT evaluation."""
     m1 = a.shape[0]

@@ -74,6 +74,15 @@ class TestBesseli:
             for n in range(26):
                 assert row[n] == pytest.approx(besseli(n, x), abs=1e-13, rel=1e-11)
 
+    def test_row_over_array_matches_oracle(self):
+        # one recurrence pass per argument, each from its own start order
+        xs = np.array([[0.0, 0.3, 2.0], [7.7, 23.0, 40.0]])
+        rows = besseli_row(25, xs)
+        assert rows.shape == (2, 3, 26)
+        for x, row in zip(xs.ravel(), rows.reshape(-1, 26)):
+            for n in range(26):
+                assert row[n] == pytest.approx(besseli_oracle(n, x), abs=1e-13, rel=1e-11)
+
     def test_grid_matches_scalar(self):
         xs = np.linspace(0.0, 12.0, 37)
         for n in (0, 1, 4):
@@ -159,30 +168,20 @@ class TestClosedFormBuilders:
         ],
     )
     def test_matrix_matches_scalar(self, builder, arg):
+        # one batched sample against the scalar closed forms, node by node
         kernel = builder(arg)
-        t = 0.7
-        m = kernel.at(t)
-        for i in range(kernel.n):
-            for j in range(kernel.n):
-                assert m[i, j] == pytest.approx(kernel.evaluator(i, j, t), abs=1e-14)
-
-    @pytest.mark.parametrize(
-        "builder,arg",
-        [
-            (z_window_kernel, np.arange(-2, 4)),
-            (halfline_window_kernel, 5),
-            (halfline_dirichlet_closed_form, 5),
-        ],
-    )
-    def test_derivative_matches_central_difference(self, builder, arg):
-        kernel = builder(arg)
-        t, h = 0.9, 1e-5
-        for i in range(kernel.n):
-            for j in range(kernel.n):
-                fd = (kernel.evaluator(i, j, t + h) - kernel.evaluator(i, j, t - h)) / (
-                    2.0 * h
-                )
-                assert kernel.time_derivative(i, j, t) == pytest.approx(fd, abs=1e-8)
+        scalar = {
+            z_window_kernel: lambda i, j, t: kernel_Z(int(arg[i]), int(arg[j]), t),
+            halfline_window_kernel: kernel_halfline,
+            halfline_dirichlet_closed_form: kernel_halfline_dirichlet,
+        }[builder]
+        times = np.array([0.0, 0.05, 0.7, 1.9, 6.0])
+        m = kernel.sample(times)
+        assert m.shape == (times.size, kernel.n, kernel.n)
+        for k, t in enumerate(times):
+            for i in range(kernel.n):
+                for j in range(kernel.n):
+                    assert m[k, i, j] == pytest.approx(scalar(i, j, float(t)), abs=1e-14)
 
 
 class TestTimeConvolution:

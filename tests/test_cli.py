@@ -163,6 +163,27 @@ class TestKernelCommand:
         assert "refine the time grid" in capsys.readouterr().err
 
 
+def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):
+    # the ambient-spectral parametrix is checked against the Jacobi-based
+    # `spectral` oracle, so it must not use that eigensolver itself
+    import numpy as np
+
+    from heatpar import cli, oracle
+    from heatpar.documents import parse_document
+
+    from conftest import lattice_hole_document
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parametrix called the oracle's eigensolver")
+
+    monkeypatch.setattr(oracle, "jacobi_eigh", refuse)
+    doc = parse_document(json.dumps(lattice_hole_document(seed=7)))
+    times, _, vals = cli.compute_kernel(doc, "parametrix-restriction", 1.0, 250, 1e-8)
+    lam, v = np.linalg.eigh(doc.graph.laplacian_matrix())
+    exact = (v * np.exp(-np.outer(times, lam))[:, None, :]) @ v.T
+    assert np.abs(vals - exact).max() <= 1e-5
+
+
 class TestVerifyCommand:
     def test_oracles_agree(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -168,15 +168,18 @@ class TestAveragedParametrix:
         grid = TimeGrid(0.5, 8)
         p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
         for j in (0, 4, 8):
-            m = p.kernel_series().values[j]
+            m = p.samples.values[j]
             assert np.abs(m - m.T).max() <= 1e-14
 
     def test_derivative_matches_finite_difference(self):
-        grid = TimeGrid(0.5, 8)
+        # the heat image carries ∂_t H as LH − ΔH; t = 0.2 is node 4
+        grid = TimeGrid(0.4, 8)
         p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
-        t, h = 0.2, 1e-6
+        j, h = 4, 1e-6
+        t = grid.nodes[j]
+        dh = p.heat_image.values[j] - self.g.laplacian_matrix() @ p.samples.values[j]
         fd = (p.kernel.at(t + h) - p.kernel.at(t - h)) / (2.0 * h)
-        assert np.abs(p.kernel.derivative_at(t) - fd).max() <= 1e-6
+        assert np.abs(dh - fd).max() <= 1e-6
 
     def test_time_derivatives_bounded_near_zero(self):
         # first and second time derivatives stay bounded on (0, t_max];
@@ -225,7 +228,7 @@ class TestEmbeddedKernel:
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
-        assert p.kernel_series().values[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert p.samples.values[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
         hg = embed_heat_kernel(p, g, 1e-8)
         assert np.abs(hg.values - 1.0).max() <= 2e-3
 

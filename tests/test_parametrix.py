@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from heatpar.embed1d import (
     modes_for_time,
 )
 from heatpar.errors import ContractViolation, NonConvergenceError
-from heatpar.graph import SubgraphEmbedding, WeightedGraph
+from heatpar.documents import parse_document
+from heatpar.graph import SubgraphEmbedding, WeightedGraph, boundary_sets
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel_series
 from heatpar.parametrix import (
     Parametrix,
+    ambient_spectral_kernel,
     assemble_heat_kernel,
     b_matrix,
     complete_graph_kernel,
@@ -34,7 +37,7 @@ from heatpar.series import (
     sample_closed_form,
 )
 
-from conftest import random_graph, term_by_term_series
+from conftest import lattice_hole_document, random_graph, term_by_term_series
 
 
 def k5_minus_edge():
@@ -68,7 +71,7 @@ class TestDiagonalParametrix:
         g = WeightedGraph(np.zeros((1, 1)))
         grid = TimeGrid(1.0, 8)
         p = diagonal_parametrix(g, grid)
-        assert np.all(p.kernel_series().values == 1.0)
+        assert np.all(p.samples.values == 1.0)
         assert np.all(p.heat_image.values == 0.0)
 
     def test_k2_heat_image(self):
@@ -82,7 +85,7 @@ class TestDiagonalParametrix:
     def test_dirac_exact(self, rng):
         g = random_graph(rng)
         p = diagonal_parametrix(g, TimeGrid(1.0, 4))
-        assert np.array_equal(p.kernel_series().values[0], np.eye(g.n))
+        assert np.array_equal(p.samples.values[0], np.eye(g.n))
 
     def test_pipeline_on_random_graph(self, rng):
         g = random_graph(rng, n_max=6)
@@ -103,7 +106,7 @@ class TestRestrictionParametrix:
         assert res.terms_used == 1
         assert np.all(res.F.values == 0.0)
         hg = assemble_heat_kernel(p, res)
-        assert np.array_equal(hg.values, p.kernel_series().values)
+        assert np.array_equal(hg.values, p.samples.values)
 
     def test_k5_heat_image_closed_form(self):
         e = k5_minus_edge()
@@ -165,7 +168,7 @@ class TestDirichletParametrix:
         e = halfline_window(w)
         grid = TimeGrid(1.0, 6)
         p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
-        samples = p.kernel_series()
+        samples = p.samples
         assert np.all(samples.values[:, 0, :] == 0.0)
         # identity restricted to the interior at t = 0
         expected = np.eye(w + 1)
@@ -186,6 +189,54 @@ class TestDirichletParametrix:
         coarse, fine = f00(400), f00(800)
         assert coarse <= 1e-6
         assert coarse / fine >= 3.5
+
+
+def lattice_hole_embedding(seed: int) -> SubgraphEmbedding:
+    return parse_document(json.dumps(lattice_hole_document(seed))).embedding
+
+
+class TestHeatImageIdentity:
+    """For a finite ambient, ∂_t H̃ = −Δ̃H̃, so both heat images follow from
+    the ambient samples and the two Laplacians alone, with no missing-neighbor
+    or coupling bookkeeping."""
+
+    CASES = [
+        (k5_minus_edge, lambda e: complete_graph_kernel(5)),
+        (lambda: lattice_hole_embedding(11), lambda e: ambient_spectral_kernel(e.ambient)),
+    ]
+
+    @staticmethod
+    def ambient_terms(e, kernel, grid):
+        amb = sample_closed_form(kernel, grid).values
+        kept = np.array(e.kept)
+        dt_amb = -(e.ambient.laplacian_matrix() @ amb)[:, kept[:, None], kept[None, :]]
+        scale = max(1.0, float(np.abs(amb).max()))
+        return amb[:, kept[:, None], kept[None, :]], dt_amb, scale
+
+    @pytest.mark.parametrize("make_e,make_kernel", CASES)
+    def test_restriction(self, make_e, make_kernel):
+        e = make_e()
+        grid = TimeGrid(1.0, 16)
+        p = restriction_parametrix(e, make_kernel(e), grid)
+        h, dt_h, scale = self.ambient_terms(e, make_kernel(e), grid)
+        assert np.array_equal(p.samples.values, h)
+        expected = e.subgraph.laplacian_matrix() @ h + dt_h
+        assert np.abs(p.heat_image.values - expected).max() <= 1e-12 * scale
+        assert np.abs(p.kernel.at(grid.nodes[5]) - h[5]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("make_e,make_kernel", CASES)
+    def test_dirichlet(self, make_e, make_kernel):
+        e = make_e()
+        grid = TimeGrid(1.0, 16)
+        p = dirichlet_parametrix(e, make_kernel(e), grid)
+        h, dt_h, scale = self.ambient_terms(e, make_kernel(e), grid)
+        rows = [e.subgraph_index(v) for v in boundary_sets(e)[0]]
+        h[:, rows, :] = 0.0
+        dt_h[:, rows, :] = 0.0  # the boundary rows of H stay zero
+        assert np.array_equal(p.samples.values, h)
+        expected = e.subgraph.laplacian_matrix() @ h + dt_h
+        assert np.abs(p.heat_image.values - expected).max() <= 1e-12 * scale
+        assert np.abs(p.kernel.at(grid.nodes[5]) - h[5]).max() <= 1e-12 * scale
 
 
 class TestNeumannSeries:
@@ -320,7 +371,7 @@ class TestCompleteGraphClosedForms:
         n = 5
         kn = complete_graph_kernel(n)
         for t in (0.25, 1.0):
-            h = subgraph_kernel_closed_form(e, t)
+            h = subgraph_kernel_closed_form(e).at(t)
             base = kn.at(t)
             corr = math.exp(-n * t) * (math.exp(2 * t) - 1) / 2.0
             assert h[0, 0] == pytest.approx(base[0, 0] + corr, abs=1e-12)
@@ -340,7 +391,7 @@ class TestCompleteGraphClosedForms:
             )
             t = float(rng.uniform(0.1, 3.0))
             assert np.abs(
-                subgraph_kernel_closed_form(e, t) - expm_heat_kernel(e.subgraph, t)
+                subgraph_kernel_closed_form(e).at(t) - expm_heat_kernel(e.subgraph, t)
             ).max() <= 1e-10
 
 
@@ -392,7 +443,7 @@ class TestAssembledKernels:
         p = diagonal_parametrix(g, grid)
         res = neumann_series(p, 1e-9)
         hg = assemble_heat_kernel(p, res)
-        corr = hg.values - p.kernel_series().values
+        corr = hg.values - p.samples.values
         cap = 2.0 * res.bound_constant * g.n
         for j in range(1, 33):
             ratio = np.abs(corr[j]).max() / grid.nodes[j]
@@ -404,28 +455,7 @@ class TestAssembledKernels:
         amb = WeightedGraph.path(10)
         e = SubgraphEmbedding(ambient=amb, kept=tuple(range(8)))
         grid = TimeGrid(1.0, 800)
-        from heatpar.oracle import spectral_decomposition
-
-        decomp = spectral_decomposition(amb)
-
-        def matrix(t):
-            return decomp.heat_matrix(t)
-
-        def matrix_dt(t):
-            lam, vv = decomp.eigenvalues, decomp.eigenvectors
-            return (vv * (-lam * np.exp(-lam * t))) @ vv.T
-
-        from heatpar.series import ClosedFormKernel
-
-        amb_kernel = ClosedFormKernel(
-            evaluator=lambda x, y, t: float(matrix(t)[x, y]),
-            time_derivative=lambda x, y, t: float(matrix_dt(t)[x, y]),
-            family="ambient-spectral",
-            n=10,
-            matrix=matrix,
-            matrix_time_derivative=matrix_dt,
-        )
-        p = dirichlet_parametrix(e, amb_kernel, grid)
+        p = dirichlet_parametrix(e, ambient_spectral_kernel(amb), grid)
         hd = heat_kernel_via_parametrix(p, 1e-9)
         # boundary row exactly zero for all t
         assert np.all(hd.values[:, 7, :] == 0.0)
@@ -453,6 +483,7 @@ class TestAssembledKernels:
             with pytest.raises(ContractViolation):
                 Parametrix(
                     kernel=p.kernel,
+                    samples=p.samples,
                     heat_image=p.heat_image,
                     grid=grid,
                     support=(0,),

@@ -14,7 +14,6 @@ from heatpar.series import (
     convolution_bound,
     convolve,
     fold_bound,
-    l_fold_convolve,
     sample_closed_form,
 )
 
@@ -171,28 +170,20 @@ class TestBounds:
 
 
 class TestLFold:
-    def test_single_fold_is_identity(self, rng):
-        grid = TimeGrid(1.0, 16)
-        f = KernelSeries(grid, rng.normal(size=(17, 2, 2)))
-        assert l_fold_convolve(f, 1) is f
-
     def test_triple_fold_of_ones(self):
         grid = TimeGrid(1.0, 256)
-        out = l_fold_convolve(constant_series(grid, 1), 3)
+        ones = constant_series(grid, 1)
+        out = convolve(convolve(ones, ones), ones)
         expected = grid.nodes**2 / 2.0
         assert np.abs(out.values[:, 0, 0] - expected).max() <= 1e-5
-
-    def test_zero_fold_rejected(self):
-        grid = TimeGrid(1.0, 4)
-        with pytest.raises(ContractViolation):
-            l_fold_convolve(constant_series(grid, 1), 0)
 
     def test_fold_respects_factorial_bound(self, rng):
         grid = TimeGrid(1.0, 128)
         vals = 0.7 * rng.uniform(-1.0, 1.0, size=(129, 2, 2))
         f = KernelSeries(grid, vals)
+        out = f
         for ell in (2, 3, 4):
-            out = l_fold_convolve(f, ell)
+            out = convolve(out, f)
             for j in (64, 128):
                 t = grid.nodes[j]
                 assert (
@@ -223,10 +214,9 @@ class TestSampling:
 
     def test_non_finite_sampling_error(self):
         bad = ClosedFormKernel(
-            evaluator=lambda x, y, t: math.inf if t > 0.5 else 1.0,
-            time_derivative=lambda x, y, t: 0.0,
             family="bad",
             n=1,
+            sample=lambda times: np.where(times > 0.5, math.inf, 1.0)[:, None, None],
         )
         with pytest.raises(SamplingError):
             sample_closed_form(bad, TimeGrid(1.0, 4))

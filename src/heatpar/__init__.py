@@ -2,8 +2,8 @@
 an alternating convolution series, with spectral and closed-form oracles.
 
 The public names below load their submodule on first access (PEP 562), so
-``import heatpar.cli`` does not load numpy or scipy before the CLI has
-applied ``HEATPAR_THREADS`` to the numeric libraries' thread pools.
+``import heatpar.cli`` does not load numpy, the only run-time dependency,
+before the CLI has applied ``HEATPAR_THREADS`` to its thread pools.
 """
 
 import importlib

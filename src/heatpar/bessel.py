@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .series import ClosedFormKernel
+from .series import ClosedFormKernel, convolve_values
 
 _RESCALE = 1e250
 
@@ -240,16 +240,7 @@ def halfline_dirichlet_closed_form(n: int) -> ClosedFormKernel:
 
 
 # ---------------------------------------------------------------------------
-# one-variable convolution and the identities it certifies
-
-
-def _conv1d(a: np.ndarray, b: np.ndarray, dx: float) -> np.ndarray:
-    """Trapezoid convolution of node-sampled one-variable functions."""
-    full = np.convolve(a, b)[: a.size]
-    full -= 0.5 * (a * b[0] + a[0] * b)
-    full *= dx
-    full[0] = 0.0
-    return full
+# one-variable convolutions and the identities they certify
 
 
 def bessel_time_convolve(m: int, n: int, x: float, quad_steps: int) -> float:
@@ -302,14 +293,14 @@ def intro_identity_sum(
         return 0.0
     dx = t / quad_steps
     taus = np.linspace(0.0, t, quad_steps + 1)
-    f1 = besseli_grid(1, taus)
-    g = _conv1d(besseli_grid(x - 1, taus), besseli_grid(y, taus), dx)
+    f1, fx, fy = (besseli_grid(k, taus)[:, None, None] for k in (1, x - 1, y))
+    g = convolve_values(fx, fy, dx)
     total = 0.0
     sign = 1.0
     scale = 0.5
     for _ in range(order_cap + 1):
-        total += sign * scale * g[-1]
-        g = _conv1d(f1, g, dx)
+        total += sign * scale * g[-1, 0, 0]
+        g = convolve_values(f1, g, dx)
         sign = -sign
         scale *= 0.5
     return total

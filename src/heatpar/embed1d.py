@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ContractViolation, DomainError, NumericalBudgetError, ResolutionError
 from .graph import WeightedGraph
@@ -54,7 +53,6 @@ def modes_for_time(length: float, t_min: float, tol: float = 1e-10) -> int:
     certified below ``tol``."""
     if t_min <= 0 or length <= 0:
         raise ContractViolation("length and t_min must be positive")
-    alpha = (math.pi / length) ** 2 * t_min
     n = 8
     while n < 200_000:
         if series_tail_bound(length, t_min, n) < tol:
@@ -187,33 +185,25 @@ def _cell_quadrature(cell: VoronoiCell1D, quad_points: int):
 def build_bumps(cells: list[VoronoiCell1D], quad_points: int = 1600) -> BumpFamily:
     """Calibrate each cell's overshoot amplitude so that ∫η² = cell measure.
 
-    The plateau alone integrates to less than the measure and the band
-    contribution grows monotonically with the amplitude, so a bracketed
-    root always exists for admissible collars.
+    The bump is affine in the amplitude, η = α + amp·β, so the defect
+    ∫η² − |cell| is the quadratic A·amp² + B·amp + C with C < 0.  Its
+    positive root exists whenever the defect is negative at amp = 1.  Both
+    α and β are nonnegative, so B >= 0 and the root is taken in the
+    cancellation-free form 2C/(−B − √(B² − 4AC)).
     """
     amps = []
     for cell in cells:
         xs, ws = _cell_quadrature(cell, quad_points)
-
-        def defect(amp: float) -> float:
-            fam = BumpFamily(cells=(cell,), amplitudes=(amp,))
-            eta = fam.evaluate(0, xs)
-            return float(ws @ (eta * eta)) - cell.measure
-
-        lo, hi = 1.0, 4.0
-        tries = 0
-        while defect(hi) < 0.0:
-            hi *= 2.0
-            tries += 1
-            if tries > 40:
-                raise NumericalBudgetError(
-                    "could not bracket the bump amplitude; use a smaller delta_fraction"
-                )
-        if defect(lo) > 0.0:
+        alpha = BumpFamily(cells=(cell,), amplitudes=(0.0,)).evaluate(0, xs)
+        beta = BumpFamily(cells=(cell,), amplitudes=(1.0,)).evaluate(0, xs) - alpha
+        a = float(ws @ (beta * beta))
+        b = 2.0 * float(ws @ (alpha * beta))
+        c = float(ws @ (alpha * alpha)) - cell.measure
+        if a + b + c >= 0.0:
             raise NumericalBudgetError(
                 "plateau already exceeds the cell measure; use a smaller delta_fraction"
             )
-        amps.append(float(brentq(defect, lo, hi, xtol=1e-14, rtol=1e-15)))
+        amps.append(2.0 * c / (-b - math.sqrt(b * b - 4.0 * a * c)))
     return BumpFamily(cells=tuple(cells), amplitudes=tuple(amps))
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ContractViolation, NonConvergenceError
 from .graph import SubgraphEmbedding, WeightedGraph, adjacency_complement, boundary_sets
@@ -28,6 +27,7 @@ from .series import (
     ClosedFormKernel,
     KernelSeries,
     TimeGrid,
+    _series_product,
     convolve_values,
     fold_bound,
     sample_closed_form,
@@ -194,13 +194,6 @@ _COARSE_GRID = (
     "the correction series has no bounded solution on this grid; the grid "
     "is too coarse to resolve the heat image (refine the time grid)"
 )
-
-
-def _series_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """First ``m`` coefficients of the matrix power-series product a(z)·b(z)."""
-    nfft = next_fast_len(a.shape[0] + b.shape[0] - 1)
-    prod = rfft(a, n=nfft, axis=0) @ rfft(b, n=nfft, axis=0)
-    return irfft(prod, n=nfft, axis=0)[:m]
 
 
 def _series_inverse(p: np.ndarray) -> np.ndarray:

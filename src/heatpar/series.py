@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ContractViolation, SamplingError
 
@@ -102,14 +101,38 @@ def _require_compatible(f1: KernelSeries, f2: KernelSeries):
         raise ContractViolation(f"vertex counts differ: {f1.n} vs {f2.n}")
 
 
+def next_fast_len(target: int) -> int:
+    """Smallest 5-smooth length 2^a·3^b·5^c >= ``target``, which pocketfft
+    transforms fastest."""
+    odd = [3**i * 5**j for i in range(target.bit_length()) for j in range(target.bit_length())]
+    return min(p << (-(-target // p) - 1).bit_length() for p in odd)
+
+
+def _series_product(a: np.ndarray, b: np.ndarray, m: int, halved: bool = False) -> np.ndarray:
+    """First ``m`` coefficients of the matrix power-series product a(z)·b(z),
+    one batched matrix product over the FFT frequencies.
+
+    With ``halved`` both constant terms count half; a constant term adds
+    itself to every frequency, so halving it is a shift of the spectrum.
+    """
+    nfft = next_fast_len(a.shape[0] + b.shape[0] - 1)
+    fa = np.fft.rfft(a, n=nfft, axis=0)
+    fb = np.fft.rfft(b, n=nfft, axis=0)
+    if halved:
+        fa -= 0.5 * a[0]
+        fb -= 0.5 * b[0]
+    return np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
+
+
 def convolve_values(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid time convolution of node-sampled matrix series.
 
     ``a`` has shape (M+1, p, q) and ``b`` shape (M+1, q, r); the result
     (M+1, p, r) holds dt·(Σ_{s=0..j} a[j−s]b[s] − ½a[j]b[0] − ½a[0]b[j]),
     which is the trapezoidal rule for the time integral with the vertex sum
-    carried out exactly.  Entry j = 0 is zero.  The full convolution sum is
-    evaluated through an FFT along the time axis; this reproduces the direct
+    carried out exactly.  Entry j = 0 is zero.  For j >= 1 that sum is the
+    power-series product of a and b with halved constant terms, evaluated
+    through an FFT along the time axis; this reproduces the direct
     summation up to roundoff.
     """
     m1 = a.shape[0]
@@ -117,14 +140,7 @@ def convolve_values(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
         raise ContractViolation("time axes differ")
     if a.shape[2] != b.shape[1]:
         raise ContractViolation(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    nfft = next_fast_len(2 * m1 - 1)
-    fa = rfft(a, n=nfft, axis=0)
-    fb = rfft(b, n=nfft, axis=0)
-    prod = np.einsum("fpq,fqr->fpr", fa, fb)
-    # trapezoid endpoint corrections stay linear, so they transform termwise
-    prod -= 0.5 * np.einsum("fpq,qr->fpr", fa, b[0])
-    prod -= 0.5 * np.einsum("pq,fqr->fpr", a[0], fb)
-    out = irfft(prod, n=nfft, axis=0)[:m1]
+    out = _series_product(a, b, m1, halved=True)
     out *= dt
     out[0] = 0.0
     return out

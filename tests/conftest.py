@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
+from heatpar.errors import ContractViolation
 from heatpar.graph import WeightedGraph
 from heatpar.series import fold_bound
 
@@ -59,6 +60,70 @@ def lattice_hole_document(seed: int, side: int = 9, hole=(3, 4)) -> dict:
         "vertices": [f"{r}_{c}" for r, c in cells if (r, c) not in missing],
         "ambient": {"vertices": [f"{r}_{c}" for r, c in sorted(missing)], "edges": edges},
     }
+
+
+def sequential_jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 60):
+    """Reference for ``jacobi_eigh``: the same rotations, skip rules and
+    stopping tests, applied one pair at a time in cyclic row order.
+
+    Sweeps run until the off-diagonal Frobenius norm drops below
+    tol·max(1, ||A||_F); convergence is quadratic once rotations are small.
+    Returns (eigenvalues ascending, eigenvectors as columns).
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or not np.array_equal(a, a.T):
+        raise ContractViolation("sequential_jacobi_eigh requires an exactly symmetric matrix")
+    m = a.copy()
+    v = np.eye(n)
+    scale = max(1.0, float(np.linalg.norm(m)))
+    prev_off = math.inf
+    diag_mask = ~np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        off = float(np.linalg.norm(m[diag_mask]))
+        if off <= tol * scale:
+            break
+        if off >= 0.5 * prev_off and off <= 1e-12 * scale:
+            break  # stalled at the roundoff plateau, which is good enough
+        prev_off = off
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                if apq == 0.0:
+                    continue
+                if abs(apq) <= 1e-300 or 100.0 * abs(apq) <= 1e-16 * (
+                    abs(m[p, p]) + abs(m[q, q])
+                ):
+                    # negligible against the diagonal: annihilating it would
+                    # only add roundoff elsewhere
+                    m[p, q] = m[q, p] = 0.0
+                    continue
+                h = m[q, q] - m[p, p]
+                if abs(h) > 1e12 * abs(apq):
+                    t = apq / h  # small-angle limit of the stable root
+                else:
+                    theta = h / (2.0 * apq)
+                    # smaller-magnitude root of t^2 + 2 t theta − 1 = 0
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = m[p, :].copy(), m[q, :].copy()
+                m[p, :] = c * rp - s * rq
+                m[q, :] = s * rp + c * rq
+                cp, cq = m[:, p].copy(), m[:, q].copy()
+                m[:, p] = c * cp - s * cq
+                m[:, q] = s * cp + c * cq
+                m[p, q] = m[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise ContractViolation("sequential_jacobi_eigh failed to converge")
+    lam = np.diag(m).copy()
+    order = np.argsort(lam)
+    return lam[order], v[:, order]
 
 
 def naive_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:

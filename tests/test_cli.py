@@ -367,3 +367,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_runs_leave_scipy_unloaded(self, tmp_path):
+        # the run path is numpy only; scipy is a test-time dependency
+        from conftest import lattice_hole_document
+
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps(lattice_hole_document(seed=7)))
+        common = ["--t-max", "1", "--steps", "100", "--out", str(tmp_path / "out")]
+        runs = [
+            ["verify", "--graph", str(lattice), "--method-a", "parametrix-restriction",
+             "--method-b", "spectral", "--budget", "1e-3", *common],
+            ["verify", "--graph", case("halfline_w40.json"), "--method-a", "dirichlet",
+             "--method-b", "closed-form-halfline-dirichlet", "--budget", "1e-3", *common],
+            ["kernel", "--graph", case("path3_interval.json"), "--method", "parametrix-embed",
+             *common],
+        ]
+        script = (
+            "import json, sys\n"
+            "from heatpar.cli import main\n"
+            "status = [main(args) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([status, 'scipy' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0], False]

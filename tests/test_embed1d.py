@@ -5,6 +5,7 @@ import pytest
 
 from heatpar.embed1d import (
     IntervalDomain,
+    _cell_quadrature,
     averaged_parametrix,
     build_bumps,
     build_voronoi,
@@ -139,6 +140,15 @@ class TestBumps:
         assert np.abs(bumps.evaluate(0, inner) - 1.0).max() == 0.0
         near_edge = np.linspace(c.a, c.a + c.delta / 2, 51)
         assert np.abs(bumps.evaluate(0, near_edge)).max() == 0.0
+
+    def test_calibrated_square_integral_on_unequal_cells(self):
+        cells = build_voronoi([0.1, 0.3, 0.35, 0.8], 1.0, 0.45)
+        assert len({round(c.measure, 12) for c in cells}) == len(cells)
+        bumps = build_bumps(cells, quad_points=1600)
+        for v, cell in enumerate(cells):
+            xs, ws = _cell_quadrature(cell, 1600)
+            eta = bumps.evaluate(v, xs)
+            assert float(ws @ (eta * eta)) == pytest.approx(cell.measure, rel=1e-13)
 
     def test_amplitude_matches_exact_root(self):
         # uniform geometry: the calibrated amplitude has a closed form

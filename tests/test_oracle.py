@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from heatpar.documents import parse_document
 from heatpar.errors import ContractViolation
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import (
@@ -15,7 +17,7 @@ from heatpar.oracle import (
 )
 from heatpar.series import TimeGrid
 
-from conftest import random_graph
+from conftest import lattice_hole_document, random_graph, sequential_jacobi_eigh
 
 # hand eigendecomposition of the unit 3-path Laplacian: eigenvalues 0, 1, 3
 # with first-vertex weights 1/3, 1/2, 1/6
@@ -46,6 +48,49 @@ class TestJacobi:
     def test_requires_symmetry(self):
         with pytest.raises(ContractViolation):
             jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def weighted_graph(rng, n: int, p_edge: float = 0.4) -> WeightedGraph:
+    w = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.uniform(size=(n, n)) < p_edge)
+    w = np.triu(w, 1)
+    return WeightedGraph(w + w.T)
+
+
+def round_robin_inputs():
+    rng = np.random.default_rng(5)
+    yield pytest.param(np.array([[0.0]]), id="n1")
+    yield pytest.param(WeightedGraph.complete(2, weight=0.7).laplacian_matrix(), id="n2")
+    yield pytest.param(weighted_graph(rng, 3, p_edge=1.0).laplacian_matrix(), id="n3")
+    for n in (4, 7, 16, 33, 50, 81):
+        yield pytest.param(weighted_graph(rng, n).laplacian_matrix(), id=f"random-n{n}")
+    two = np.zeros((11, 11))
+    two[:5, :5] = weighted_graph(rng, 5, p_edge=1.0).weights
+    two[5:, 5:] = weighted_graph(rng, 6, p_edge=1.0).weights
+    yield pytest.param(WeightedGraph(two).laplacian_matrix(), id="disconnected")
+    yield pytest.param(WeightedGraph.complete(6).laplacian_matrix(), id="K6")
+    yield pytest.param(np.diag([3.0, 0.5, 2.0, 0.5, 1.0]), id="diagonal")
+    doc = parse_document(json.dumps(lattice_hole_document(seed=5)))
+    yield pytest.param(doc.graph.laplacian_matrix(), id="lattice-hole")
+
+
+class TestRoundRobinJacobi:
+    @pytest.mark.parametrize("lap", round_robin_inputs())
+    def test_matches_sequential_sweeps(self, lap):
+        # eigenvectors are not unique at degenerate eigenvalues, so compare
+        # the heat kernels they build
+        lam, v = jacobi_eigh(lap)
+        lam_ref, v_ref = sequential_jacobi_eigh(lap)
+        budget = 1e-12 * max(1.0, float(np.linalg.norm(lap)))
+        assert np.abs(lam - lam_ref).max() <= budget
+        for t in (0.0, 0.1, 1.0):
+            heat = (v * np.exp(-t * lam)) @ v.T
+            heat_ref = (v_ref * np.exp(-t * lam_ref)) @ v_ref.T
+            assert np.abs(heat - heat_ref).max() <= budget
+
+    def test_sweep_budget_exhausted(self, rng):
+        lap = weighted_graph(rng, 10, p_edge=0.6).laplacian_matrix()
+        with pytest.raises(ContractViolation):
+            jacobi_eigh(lap, max_sweeps=1)
 
 
 class TestSpectralKernel:

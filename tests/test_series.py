@@ -13,7 +13,9 @@ from heatpar.series import (
     TimeGrid,
     convolution_bound,
     convolve,
+    convolve_values,
     fold_bound,
+    next_fast_len,
     sample_closed_form,
 )
 
@@ -60,6 +62,24 @@ class TestConvolve:
         out = convolve(fa, fb).values
         ref = naive_convolve(a, b, grid.dt)
         assert np.abs(out - ref).max() <= 1e-12
+        # rectangular operands, as in assembly, with non-zero t = 0 values
+        a = rng.normal(size=(41, 5, 2))
+        b = rng.normal(size=(41, 2, 4))
+        out = convolve_values(a, b, grid.dt)
+        assert out.shape == (41, 5, 4)
+        assert np.abs(out - naive_convolve(a, b, grid.dt)).max() <= 1e-12
+
+    def test_fft_lengths_are_the_next_5_smooth(self):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+
+        smooth_lengths = [k for k in range(1, 2100) if smooth(k)]
+        for target in range(1, 2000):
+            assert next_fast_len(target) == next(k for k in smooth_lengths if k >= target)
+        assert next_fast_len(2 * 16385 - 1) == 32805
 
     def test_monomials_beta_integral(self):
         # r^k * r^l convolves to k! l!/(k+l+1)! t^{k+l+1}

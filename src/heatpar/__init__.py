@@ -10,7 +10,6 @@ import importlib
 
 _EXPORTS = {
     "bessel": (
-        "BesselEvaluator",
         "bessel_tail_bound",
         "bessel_time_convolve",
         "besseli",
@@ -19,10 +18,6 @@ _EXPORTS = {
         "halfline_dirichlet_closed_form",
         "halfline_window_kernel",
         "intro_identity_sum",
-        "kernel_Z",
-        "kernel_halfline",
-        "kernel_halfline_dirichlet",
-        "verify_intro_identity",
         "watson_series",
         "z_window_kernel",
     ),
@@ -34,27 +29,22 @@ _EXPORTS = {
         "build_bumps",
         "build_voronoi",
         "embed_heat_kernel",
-        "interval_heat_kernel",
         "modes_for_time",
         "series_tail_bound",
     ),
     "graph": (
-        "DegreeProfile",
         "SubgraphEmbedding",
         "WeightedGraph",
         "adjacency_complement",
         "boundary_sets",
-        "laplacian_apply",
     ),
     "oracle": (
         "OracleReport",
-        "SpectralDecomposition",
         "compare_kernels",
         "expm_heat_kernel",
         "jacobi_eigh",
         "spectral_decomposition",
-        "spectral_heat_kernel",
-        "spectral_kernel_series",
+        "spectral_kernel",
     ),
     "parametrix": (
         "NeumannSeriesResult",
@@ -74,7 +64,6 @@ _EXPORTS = {
         "ClosedFormKernel",
         "KernelSeries",
         "TimeGrid",
-        "convolution_bound",
         "convolve",
         "convolve_values",
         "fold_bound",

@@ -5,8 +5,8 @@ Single values use the defining power series when the argument is small
 relative to the order (x <= 2(n+1)) and a Miller-style backward recurrence
 normalized by Σ I_n = e^x otherwise; forward recurrence in growing order is
 unstable and is never used.  Whole rows I_0..I_N come from the recurrence,
-run over an array of arguments at once.  Everything is certified for
-0 <= x <= x_max to an absolute tolerance.
+run over an array of arguments at once.  Arguments are certified on
+0 <= x <= 40.
 
 Two convolutions appear in this package: the one-variable time convolution
 (I_m * I_n)(x) = ∫_0^x I_m(τ) I_n(x−τ) dτ implemented here, and the graph
@@ -16,7 +16,6 @@ convolution of :mod:`heatpar.series`.  They are distinct operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,58 +25,16 @@ from .series import ClosedFormKernel, convolve_values
 _RESCALE = 1e250
 
 
-@dataclass(frozen=True)
-class BesselEvaluator:
-    """Evaluator for I_n(x), certified on 0 <= x <= x_max to absolute ``tol``."""
-
-    x_max: float = 40.0
-    tol: float = 1e-12
-
-    def _check(self, n: int, x):
-        if n < 0 or int(n) != n:
-            raise DomainError(f"order must be a nonnegative integer, got {n}")
-        xs = np.asarray(x, dtype=float)
-        outside = xs[(xs < 0) | (xs > self.x_max)]
-        if outside.size:
-            raise DomainError(f"argument {outside[0]} outside certified range [0, {self.x_max}]")
-
-    def value(self, n: int, x: float) -> float:
-        """I_n(x) by power series for x <= 2(n+1), Miller recurrence beyond."""
-        self._check(n, x)
-        n = int(n)
-        if x == 0.0:
-            return 1.0 if n == 0 else 0.0
-        if x <= 2.0 * (n + 1):
-            return _power_series(n, x)
-        return float(self.row(n, x)[n])
-
-    def row(self, n_max: int, x) -> np.ndarray:
-        """I_0(x) .. I_{n_max}(x) from one backward recurrence pass; for an
-        array of arguments, one pass for all of them, with the orders on a
-        new last axis."""
-        self._check(n_max, x)
-        xs = np.asarray(x, dtype=float)
-        return _miller_rows(int(n_max), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
-
-    def grid(self, n: int, xs: np.ndarray) -> np.ndarray:
-        """Vectorized I_n over an array of arguments (power series)."""
-        self._check(n, xs)
-        return _power_series_grid(int(n), np.asarray(xs, dtype=float))
+_X_MAX = 40.0  # arguments are certified on 0 <= x <= _X_MAX
 
 
-def _power_series(n: int, x: float) -> float:
-    # all terms positive: no cancellation; geometric tail once the term
-    # ratio (x/2)^2 / ((k+1)(n+k+1)) drops below one
-    log_t0 = n * math.log(x / 2.0) - math.lgamma(n + 1)
-    term = math.exp(log_t0)
-    total = term
-    q = x * x / 4.0
-    for k in range(1000):
-        term *= q / ((k + 1.0) * (n + k + 1.0))
-        total += term
-        if term <= 1e-18 * total:
-            return total
-    raise DomainError(f"power series for I_{n}({x}) did not converge")
+def _check(n: int, x):
+    if n < 0 or int(n) != n:
+        raise DomainError(f"order must be a nonnegative integer, got {n}")
+    xs = np.asarray(x, dtype=float)
+    outside = xs[(xs < 0) | (xs > _X_MAX)]
+    if outside.size:
+        raise DomainError(f"argument {outside[0]} outside certified range [0, {_X_MAX}]")
 
 
 def _power_series_grid(n: int, xs: np.ndarray) -> np.ndarray:
@@ -133,21 +90,27 @@ def _miller_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-_DEFAULT = BesselEvaluator()
-
-
 def besseli(n: int, x: float) -> float:
-    """Modified Bessel function I_n(x), n >= 0, 0 <= x <= x_max."""
-    return _DEFAULT.value(n, x)
+    """I_n(x), n >= 0, 0 <= x <= 40: power series for x <= 2(n+1), Miller
+    recurrence beyond."""
+    _check(n, x)
+    if x <= 2.0 * (n + 1):
+        return float(_power_series_grid(int(n), np.array([float(x)]))[0])
+    return float(besseli_row(n, x)[n])
 
 
 def besseli_row(n_max: int, x) -> np.ndarray:
-    """I_0 .. I_{n_max} at ``x``, a number or an array (orders on the last axis)."""
-    return _DEFAULT.row(n_max, x)
+    """I_0 .. I_{n_max} at ``x``, a number or an array: one backward
+    recurrence pass for all arguments, with the orders on a new last axis."""
+    _check(n_max, x)
+    xs = np.asarray(x, dtype=float)
+    return _miller_rows(int(n_max), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
 
 
 def besseli_grid(n: int, xs) -> np.ndarray:
-    return _DEFAULT.grid(n, np.asarray(xs, dtype=float))
+    """I_n over an array of arguments, by the power series."""
+    _check(n, xs)
+    return _power_series_grid(int(n), np.asarray(xs, dtype=float))
 
 
 def bessel_tail_bound(n: int, x: float) -> float:
@@ -169,38 +132,17 @@ def bessel_tail_bound(n: int, x: float) -> float:
 # closed-form lattice kernels
 
 
-def kernel_Z(v: int, w: int, t: float) -> float:
-    """Heat kernel on the integer line: e^{−2t} I_{|v−w|}(2t)."""
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    return math.exp(-2.0 * t) * besseli(abs(v - w), 2.0 * t)
-
-
-def kernel_halfline(v: int, w: int, t: float) -> float:
-    """Heat kernel on the half-line lattice {0,1,2,...}:
-    e^{−2t}(I_{|v−w|}(2t) + I_{v+w+1}(2t))."""
-    if v < 0 or w < 0:
-        raise DomainError("half-line vertices must be nonnegative")
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    x = 2.0 * t
-    return math.exp(-x) * (besseli(abs(v - w), x) + besseli(v + w + 1, x))
-
-
-def kernel_halfline_dirichlet(x: int, y: int, t: float) -> float:
-    """Dirichlet heat kernel on {0,1,2,...} with boundary vertex 0:
-    e^{−2t}(I_{|x−y|}(2t) − I_{x+y}(2t)); identically zero when x or y is 0."""
-    if x < 0 or y < 0:
-        raise DomainError("half-line vertices must be nonnegative")
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    a = 2.0 * t
-    return math.exp(-a) * (besseli(abs(x - y), a) - besseli(x + y, a))
-
-
-def _lattice_kernel(family: str, dist: np.ndarray, refl=None, sign: float = 1.0):
-    """Kernel e^{−2t}(I_dist(2t) + sign·I_refl(2t)) entrywise, the reflected
-    term left out when ``refl`` is None; one recurrence row per sample time."""
+def _lattice_kernel(family: str, coords, reflect: int | None = None, sign: float = 1.0):
+    """Kernel e^{−2t}(I_{|x−y|}(2t) + sign·I_{x+y+reflect}(2t)) between the
+    lattice coordinates ``coords``, the reflected term left out when
+    ``reflect`` is None; one recurrence row per sample time."""
+    c = np.asarray(coords, dtype=int)
+    dist = np.abs(c[:, None] - c[None, :])
+    refl = None
+    if reflect is not None:
+        if np.any(c < 0):
+            raise DomainError("half-line vertices must be nonnegative")
+        refl = c[:, None] + c[None, :] + reflect
     top = int((dist if refl is None else refl).max())
 
     def sample(times: np.ndarray) -> np.ndarray:
@@ -212,31 +154,27 @@ def _lattice_kernel(family: str, dist: np.ndarray, refl=None, sign: float = 1.0)
         vals *= np.exp(-x)[:, None, None]
         return vals
 
-    return ClosedFormKernel(family, dist.shape[0], sample)
+    return ClosedFormKernel(family, c.size, sample)
 
 
 def z_window_kernel(offsets) -> ClosedFormKernel:
     """Closed-form integer-line kernel on a window of lattice coordinates:
     ``offsets[i]`` is the lattice coordinate of window vertex i, and entries
     are e^{−2t} I_{|offsets[i]−offsets[j]|}(2t)."""
-    offsets = np.asarray(offsets, dtype=int)
-    return _lattice_kernel("integer-line", np.abs(offsets[:, None] - offsets[None, :]))
+    return _lattice_kernel("integer-line", offsets)
 
 
-def halfline_window_kernel(n: int) -> ClosedFormKernel:
-    """Closed-form half-line kernel on coordinates 0..n−1."""
-    c = np.arange(n)
-    return _lattice_kernel(
-        "half-line", np.abs(c[:, None] - c[None, :]), c[:, None] + c[None, :] + 1
-    )
+def halfline_window_kernel(coords) -> ClosedFormKernel:
+    """Closed-form half-line kernel on a window of lattice coordinates
+    ``coords`` >= 0: e^{−2t}(I_{|x−y|}(2t) + I_{x+y+1}(2t))."""
+    return _lattice_kernel("half-line", coords, 1)
 
 
-def halfline_dirichlet_closed_form(n: int) -> ClosedFormKernel:
-    """Closed-form Dirichlet half-line kernel on coordinates 0..n−1."""
-    c = np.arange(n)
-    return _lattice_kernel(
-        "half-line-dirichlet", np.abs(c[:, None] - c[None, :]), c[:, None] + c[None, :], -1.0
-    )
+def halfline_dirichlet_closed_form(coords) -> ClosedFormKernel:
+    """Closed-form Dirichlet half-line kernel on a window of lattice
+    coordinates ``coords`` >= 0, boundary vertex at 0:
+    e^{−2t}(I_{|x−y|}(2t) − I_{x+y}(2t)), identically zero when x or y is 0."""
+    return _lattice_kernel("half-line-dirichlet", coords, 0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +242,3 @@ def intro_identity_sum(
         sign = -sign
         scale *= 0.5
     return total
-
-
-def verify_intro_identity(
-    x: int, y: int, t: float, order_cap: int, quad_steps: int
-) -> float:
-    """Absolute residual |I_{x+y}(t) − truncated alternating sum|."""
-    if t == 0.0:
-        if x < 1 or y < 0:
-            raise DomainError("identity requires x >= 1 and y >= 0")
-        return 0.0
-    return abs(besseli(x + y, t) - intro_identity_sum(x, y, t, order_cap, quad_steps))

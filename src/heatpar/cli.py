@@ -5,11 +5,12 @@
     heatpar identity --name watson|intro|halfline-special-1|halfline-special-2 [...]
     heatpar export   --graph FILE [...]
 
-Exit codes: 0 success, 2 input error, 3 numerical budget exceeded.  Output
-is deterministic: rows are time-major (then first vertex, then second),
-CSV carries 17 significant digits, JSON is emitted with sorted keys.  The
-environment variable HEATPAR_THREADS caps the numeric libraries' thread
-pools when set before startup.
+Exit codes: 0 success, 2 input error, 3 numerical budget exceeded, which
+includes a kernel provably wrong by its half-asymmetry (refine the time
+grid).  Output is deterministic: rows are time-major (then first vertex,
+then second), CSV carries 17 significant digits, JSON is emitted with sorted
+keys.  HEATPAR_THREADS, a positive integer (exit 2 otherwise), sets the
+numeric libraries' thread pools over any preset BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import sys
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# largest accepted ½·sup|K − Kᵀ|; a kernel above it is refused with EXIT_BUDGET
+ASYMMETRY_LIMIT = 0.1
 
 METHODS = (
     "spectral",
@@ -37,10 +41,19 @@ METHODS = (
 
 
 def _apply_thread_env():
+    """Copy HEATPAR_THREADS, which must be a positive integer, over the BLAS
+    thread-pool variables."""
     threads = os.environ.get("HEATPAR_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    if threads is None:
+        return
+    try:
+        count = int(threads)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"HEATPAR_THREADS must be a positive integer, got {threads!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(count)
 
 
 def _fmt(x: float) -> str:
@@ -79,7 +92,8 @@ def _ambient_closed_form(doc):
     """Pick the ambient heat kernel: complete-graph or integer-line closed
     forms when the structure matches, the ambient spectral kernel otherwise."""
     from .bessel import z_window_kernel
-    from .documents import ambient_is_unit_complete, ambient_path_coordinates
+    from .documents import ambient_path_coordinates
+    from .graph import ambient_is_unit_complete
     from .parametrix import ambient_spectral_kernel, complete_graph_kernel
 
     e = doc.embedding
@@ -91,47 +105,52 @@ def _ambient_closed_form(doc):
     return ambient_spectral_kernel(e.ambient)
 
 
-def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
-    """Run one method on a document; returns (times, names, values array)."""
+def _half_asymmetry(values) -> float:
+    """½·sup|K − Kᵀ| over all times, taken a block of times at a time.
+
+    Every exact kernel here is symmetric, so this is a proven lower bound
+    on the sup error of ``values``; a NaN entry makes it NaN."""
+    import numpy as np
+
+    step = max(1, 65536 // values[0].size)
+    blocks = (values[j : j + step] for j in range(0, len(values), step))
+    # K − Kᵀ is antisymmetric, so its largest entry is its sup norm
+    return 0.5 * float(np.max([(b - b.transpose(0, 2, 1)).max() for b in blocks]))
+
+
+def _dispatch(doc, method: str, grid, tol: float):
+    """Kernel values of one method on a document, one array (M+1, n, n)."""
     import math
 
     import numpy as np
 
     from .bessel import halfline_dirichlet_closed_form, halfline_window_kernel
-    from .documents import ambient_is_unit_complete, halfline_coordinates
+    from .documents import halfline_coordinates
     from .errors import ParseError
-    from .graph import SubgraphEmbedding
-    from .oracle import expm_heat_kernel, spectral_kernel_series
+    from .graph import SubgraphEmbedding, ambient_is_unit_complete
+    from .oracle import expm_heat_kernel, spectral_kernel
     from .parametrix import (
-        complete_graph_kernel,
         diagonal_parametrix,
         dirichlet_parametrix,
         heat_kernel_via_parametrix,
         restriction_parametrix,
         subgraph_kernel_closed_form,
     )
-    from .series import TimeGrid, sample_closed_form
+    from .series import sample_closed_form
 
-    grid = TimeGrid(t_max, steps)
     g = doc.graph
     if method == "spectral":
-        return grid.nodes, doc.names, spectral_kernel_series(g, grid).values
+        return sample_closed_form(spectral_kernel(g), grid).values
     if method == "expm":
-        vals = np.stack([expm_heat_kernel(g, float(t)) for t in grid.nodes])
-        return grid.nodes, doc.names, vals
+        return np.stack([expm_heat_kernel(g, float(t)) for t in grid.nodes])
     if method == "parametrix-diagonal":
-        p = diagonal_parametrix(g, grid)
-        return grid.nodes, doc.names, heat_kernel_via_parametrix(p, tol).values
-    if method == "parametrix-restriction":
+        return heat_kernel_via_parametrix(diagonal_parametrix(g, grid), tol).values
+    if method in ("parametrix-restriction", "dirichlet"):
         if doc.embedding is None:
-            raise ParseError("parametrix-restriction needs an ambient block")
-        p = restriction_parametrix(doc.embedding, _ambient_closed_form(doc), grid)
-        return grid.nodes, doc.names, heat_kernel_via_parametrix(p, tol).values
-    if method == "dirichlet":
-        if doc.embedding is None:
-            raise ParseError("dirichlet needs an ambient block")
-        p = dirichlet_parametrix(doc.embedding, _ambient_closed_form(doc), grid)
-        return grid.nodes, doc.names, heat_kernel_via_parametrix(p, tol).values
+            raise ParseError(f"{method} needs an ambient block")
+        build = dirichlet_parametrix if method == "dirichlet" else restriction_parametrix
+        p = build(doc.embedding, _ambient_closed_form(doc), grid)
+        return heat_kernel_via_parametrix(p, tol).values
     if method == "parametrix-embed":
         if not doc.positions:
             raise ParseError("parametrix-embed needs a positions block")
@@ -156,34 +175,41 @@ def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
         cells = build_voronoi(doc.position_list(), length, delta_fraction)
         bumps = build_bumps(cells, quad_points)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
-        return grid.nodes, doc.names, embed_heat_kernel(p, g, tol).values
+        return embed_heat_kernel(p, g, tol).values
     if method == "closed-form-complete":
-        if doc.embedding is not None:
-            if not ambient_is_unit_complete(doc.embedding):
-                raise ParseError("closed-form-complete needs a unit-weight complete ambient")
-            kernel = subgraph_kernel_closed_form(doc.embedding)
-            return grid.nodes, doc.names, sample_closed_form(kernel, grid).values
-        trivial = SubgraphEmbedding.trivial(g)
-        if not ambient_is_unit_complete(trivial):
-            raise ParseError("closed-form-complete needs a unit-weight complete graph")
-        kernel = complete_graph_kernel(g.n)
-        return grid.nodes, doc.names, sample_closed_form(kernel, grid).values
+        e = doc.embedding or SubgraphEmbedding.trivial(g)
+        if not ambient_is_unit_complete(e):
+            raise ParseError("closed-form-complete needs a unit-weight complete graph or ambient")
+        return sample_closed_form(subgraph_kernel_closed_form(e), grid).values
     if method in ("closed-form-halfline", "closed-form-halfline-dirichlet"):
         coords = halfline_coordinates(doc)
         if coords is None:
             raise ParseError(f"{method} needs a half-line window embedding")
-        order = np.argsort(coords)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
-        builder = (
-            halfline_window_kernel
-            if method == "closed-form-halfline"
-            else halfline_dirichlet_closed_form
-        )
-        kernel = builder(len(coords))
-        vals = sample_closed_form(kernel, grid).values[:, inv[:, None], inv[None, :]]
-        return grid.nodes, doc.names, vals
+        if method == "closed-form-halfline":
+            kernel = halfline_window_kernel(coords)
+        else:
+            kernel = halfline_dirichlet_closed_form(coords)
+        return sample_closed_form(kernel, grid).values
     raise ParseError(f"unknown method {method!r}")
+
+
+def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
+    """Run one method on a document; returns (times, names, values array).
+
+    A kernel whose half-asymmetry exceeds ``ASYMMETRY_LIMIT`` is provably
+    that far from the exact kernel and is refused."""
+    from .errors import NumericalBudgetError
+    from .series import TimeGrid
+
+    grid = TimeGrid(t_max, steps)
+    values = _dispatch(doc, method, grid, tol)
+    asym = _half_asymmetry(values)
+    if not asym <= ASYMMETRY_LIMIT:
+        raise NumericalBudgetError(
+            f"{method} kernel is at least {asym:.3e} from the exact kernel "
+            f"(half the sup of |K - K^T|, above {ASYMMETRY_LIMIT}); refine the time grid"
+        )
+    return grid.nodes, doc.names, values
 
 
 def cmd_kernel(args) -> int:
@@ -354,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     ap = build_parser()
     args = ap.parse_args(argv)
     from .errors import NumericalBudgetError, ParseError
 
     try:
+        _apply_thread_env()
         return args.func(args)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

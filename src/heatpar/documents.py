@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .graph import SubgraphEmbedding, WeightedGraph
+from .graph import SubgraphEmbedding, WeightedGraph, boundary_sets
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class GraphDocument:
     ambient_names: tuple[str, ...] = ()
     positions: dict[str, float] = field(default_factory=dict)
     interval: dict = field(default_factory=dict)
-
-    @property
-    def is_embedding(self) -> bool:
-        return self.embedding is not None
 
     def position_list(self) -> list[float]:
         return [self.positions[n] for n in self.names]
@@ -221,8 +217,6 @@ def canonical_document(doc: GraphDocument) -> dict:
             ),
             "frontier": sorted(all_names[v] for v in e.frontier),
         }
-        from .graph import boundary_sets
-
         boundary, interior, second = boundary_sets(e)
         out["derived"] = {
             "boundary": sorted(all_names[v] for v in boundary),
@@ -238,13 +232,6 @@ def canonical_document(doc: GraphDocument) -> dict:
 
 # ---------------------------------------------------------------------------
 # structural detection used to pick closed-form ambient kernels
-
-
-def ambient_is_unit_complete(e: SubgraphEmbedding) -> bool:
-    n = e.ambient.n
-    return e.n == n and bool(
-        np.array_equal(e.ambient.weights, np.ones((n, n)) - np.eye(n))
-    )
 
 
 def ambient_path_coordinates(e: SubgraphEmbedding) -> np.ndarray | None:
@@ -284,8 +271,6 @@ def halfline_coordinates(doc: GraphDocument) -> np.ndarray | None:
     coords = ambient_path_coordinates(e)
     if coords is None:
         return None
-    from .graph import boundary_sets
-
     boundary, _, _ = boundary_sets(e)
     if len(boundary) != 1:
         return None

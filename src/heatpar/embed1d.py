@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, NumericalBudgetError, ResolutionError
+from .errors import ContractViolation, NumericalBudgetError, ResolutionError
 from .graph import WeightedGraph
 from .parametrix import Parametrix, assemble_heat_kernel, neumann_series
 from .series import ClosedFormKernel, KernelSeries, TimeGrid
@@ -71,17 +71,6 @@ def series_tail_bound(length: float, t: float, n_modes: int) -> float:
     lead = (2.0 / length) * math.exp(-alpha * (n_modes + 1) ** 2)
     ratio = math.exp(-alpha * (2 * n_modes + 3))
     return lead / (1.0 - ratio)
-
-
-def interval_heat_kernel(d: IntervalDomain, x: float, y: float, t: float) -> float:
-    """Dirichlet heat kernel of the interval, truncated to n_modes terms."""
-    if not (0 < x < d.length) or not (0 < y < d.length):
-        raise DomainError("points must lie strictly inside the interval")
-    n = np.arange(1, d.n_modes + 1)
-    w = n * math.pi / d.length
-    return float(
-        (2.0 / d.length) * np.sum(np.sin(w * x) * np.sin(w * y) * np.exp(-(w**2) * t))
-    )
 
 
 @dataclass(frozen=True)
@@ -207,6 +196,9 @@ def build_bumps(cells: list[VoronoiCell1D], quad_points: int = 1600) -> BumpFami
     return BumpFamily(cells=tuple(cells), amplitudes=tuple(amps))
 
 
+_QUAD_BUDGET = 1e-6  # largest accepted quadrature self-estimate of the overlaps
+
+
 def _mode_overlaps(
     d: IntervalDomain, cells, bumps: BumpFamily, quad_points: int
 ) -> np.ndarray:
@@ -227,7 +219,6 @@ def averaged_parametrix(
     grid: TimeGrid,
     graph: WeightedGraph,
     normalization: str = "symmetric",
-    quad_budget: float = 1e-6,
 ) -> Parametrix:
     """Average the interval kernel against the bump family to obtain an
     order-zero parametrix for the embedded graph.
@@ -236,8 +227,8 @@ def averaged_parametrix(
     or the first-variable 1/μ_{v1} scaling; both are valid parametrices and
     must assemble to the same heat kernel.  A Richardson comparison between
     the requested quadrature resolution and its refinement guards the mode
-    overlaps; if the estimated error exceeds ``quad_budget`` the resolution
-    is rejected.
+    overlaps; if the estimated error exceeds 1e-6 the resolution is
+    rejected.
     """
     if len(cells) != graph.n:
         raise ContractViolation("graph size does not match the cell count")
@@ -251,9 +242,9 @@ def averaged_parametrix(
     probe = np.abs(
         (s * weights0[:, None]).T @ s - (s_fine * weights0[:, None]).T @ s_fine
     ).max() / float(np.sqrt(np.outer(mu, mu)).min())
-    if probe > quad_budget:
+    if probe > _QUAD_BUDGET:
         raise ResolutionError(
-            f"quadrature self-estimate {probe:.2e} exceeds budget {quad_budget:.2e}; "
+            f"quadrature self-estimate {probe:.2e} exceeds budget {_QUAD_BUDGET:.2e}; "
             "increase quad_points"
         )
     s = s_fine  # keep the refined overlaps

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ContractViolation
 
-VertexId = int
-
 
 def _as_weight_matrix(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
@@ -85,22 +83,6 @@ class WeightedGraph:
         return WeightedGraph(w)
 
 
-def laplacian_apply(g: WeightedGraph, f) -> np.ndarray:
-    """Apply the weighted Laplacian: (Δf)(x) = Σ_y (f(x) − f(y)) w_xy."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n,):
-        raise ContractViolation(f"vector length {f.shape} does not match n={g.n}")
-    return g.mu * f - g.weights @ f
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex weighted degrees, in the subgraph and in its ambient graph."""
-
-    mu: np.ndarray
-    mu_ambient: np.ndarray
-
-
 @dataclass(frozen=True)
 class SubgraphEmbedding:
     """A graph G sitting inside an ambient graph, given by a vertex subset
@@ -163,14 +145,16 @@ class SubgraphEmbedding:
             w[i, j] = w[j, i] = 0.0
         return WeightedGraph(w)
 
-    def degree_profile(self) -> DegreeProfile:
-        idx = np.array(self.kept)
-        return DegreeProfile(mu=self.subgraph.mu, mu_ambient=self.ambient.mu[idx])
-
     @staticmethod
     def trivial(g: WeightedGraph) -> "SubgraphEmbedding":
         """G embedded in itself: nothing removed, no boundary."""
         return SubgraphEmbedding(ambient=g, kept=tuple(range(g.n)))
+
+
+def ambient_is_unit_complete(e: SubgraphEmbedding) -> bool:
+    """Whether ``e`` keeps every vertex of a unit-weight complete ambient."""
+    n = e.ambient.n
+    return e.n == n and bool(np.array_equal(e.ambient.weights, np.ones((n, n)) - np.eye(n)))
 
 
 def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .graph import WeightedGraph
-from .series import KernelSeries
+from .series import ClosedFormKernel, KernelSeries
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -88,33 +88,21 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 60):
     return lam[order], v[:, order]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a graph
-    Laplacian."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def heat_matrix(self, t: float) -> np.ndarray:
-        w = np.exp(-self.eigenvalues * t)
-        return (self.eigenvectors * w) @ self.eigenvectors.T
+def spectral_decomposition(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the graph
+    Laplacian, by Jacobi rotations."""
+    return jacobi_eigh(g.laplacian_matrix())
 
 
-def spectral_decomposition(g: WeightedGraph) -> SpectralDecomposition:
-    lam, psi = jacobi_eigh(g.laplacian_matrix())
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=psi)
-
-
-def spectral_heat_kernel(
-    g: WeightedGraph, t: float, decomp: SpectralDecomposition | None = None
-) -> np.ndarray:
+def spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
     """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ from the Laplacian eigensystem."""
-    if t < 0:
-        raise ContractViolation("time must be nonnegative")
-    if decomp is None:
-        decomp = spectral_decomposition(g)
-    return decomp.heat_matrix(t)
+    lam, v = spectral_decomposition(g)
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        w = np.exp(-np.outer(times, lam))  # (T, n)
+        return np.einsum("ab,jb,cb->jac", v, w, v, optimize=True)
+
+    return ClosedFormKernel("spectral", g.n, sample)
 
 
 def _expm_taylor(a: np.ndarray, terms: int = 25) -> np.ndarray:
@@ -142,15 +130,6 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
     for _ in range(s):
         core = core @ core
     return core
-
-
-def spectral_kernel_series(g: WeightedGraph, grid) -> KernelSeries:
-    """Spectral kernel sampled on every node of a time grid."""
-    decomp = spectral_decomposition(g)
-    w = np.exp(-np.outer(grid.nodes, decomp.eigenvalues))  # (M+1, n)
-    v = decomp.eigenvectors
-    vals = np.einsum("ab,jb,cb->jac", v, w, v, optimize=True)
-    return KernelSeries(grid, vals)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
-from .graph import SubgraphEmbedding, WeightedGraph, adjacency_complement, boundary_sets
+from .graph import (
+    SubgraphEmbedding,
+    WeightedGraph,
+    adjacency_complement,
+    ambient_is_unit_complete,
+    boundary_sets,
+)
 from .oracle import jacobi_eigh
 from .series import (
     ClosedFormKernel,
@@ -341,19 +347,13 @@ def ambient_spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
     return ClosedFormKernel("ambient-spectral", g.n, sample)
 
 
-def _require_complete_ambient(e: SubgraphEmbedding):
-    n = e.ambient.n
-    expected = np.ones((n, n)) - np.eye(n)
-    if e.n != n or not np.array_equal(e.ambient.weights, expected):
-        raise ContractViolation(
-            "operation requires all vertices kept inside a unit-weight complete graph"
-        )
-
-
 def b_matrix(e: SubgraphEmbedding) -> np.ndarray:
     """Complement matrix B with b_xx = number of removed edges at x and
     b_xy = −1 exactly when the edge {x,y} was removed."""
-    _require_complete_ambient(e)
+    if not ambient_is_unit_complete(e):
+        raise ContractViolation(
+            "operation requires all vertices kept inside a unit-weight complete graph"
+        )
     n = e.ambient.n
     b = np.zeros((n, n))
     for edge in e.removed_edges:
@@ -369,9 +369,8 @@ def subgraph_kernel_closed_form(e: SubgraphEmbedding) -> ClosedFormKernel:
     """Exact heat kernel of a complete graph with edges removed:
     H_{K_N}(t) + e^{−Nt}(exp(tB) − Id), from one symmetric
     eigendecomposition of B."""
-    _require_complete_ambient(e)
-    n = e.ambient.n
     lam, v = jacobi_eigh(b_matrix(e))
+    n = e.ambient.n
     complete = complete_graph_kernel(n)
     diag = np.arange(n)
 

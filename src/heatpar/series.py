@@ -42,9 +42,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_max, self.steps * factor)
-
 
 @dataclass(frozen=True)
 class KernelSeries:
@@ -69,15 +66,6 @@ class KernelSeries:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def __sub__(self, other: "KernelSeries") -> "KernelSeries":
-        _require_compatible(self, other)
-        return KernelSeries(self.grid, self.values - other.values)
-
-    def __add__(self, other: "KernelSeries") -> "KernelSeries":
-        _require_compatible(self, other)
-        return KernelSeries(self.grid, self.values + other.values)
-
-
 @dataclass(frozen=True)
 class ClosedFormKernel:
     """Analytically evaluable n×n kernel, sampled over many times at once.
@@ -92,13 +80,6 @@ class ClosedFormKernel:
 
     def at(self, t: float) -> np.ndarray:
         return self.sample(np.array([float(t)]))[0]
-
-
-def _require_compatible(f1: KernelSeries, f2: KernelSeries):
-    if f1.grid != f2.grid:
-        raise ContractViolation("kernel series live on different time grids")
-    if f1.n != f2.n:
-        raise ContractViolation(f"vertex counts differ: {f1.n} vs {f2.n}")
 
 
 def next_fast_len(target: int) -> int:
@@ -148,19 +129,9 @@ def convolve_values(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 def convolve(f1: KernelSeries, f2: KernelSeries) -> KernelSeries:
     """Graph convolution of two kernel series on the same grid."""
-    _require_compatible(f1, f2)
+    if f1.grid != f2.grid:
+        raise ContractViolation("kernel series live on different time grids")
     return KernelSeries(f1.grid, convolve_values(f1.values, f2.values, f1.grid.dt))
-
-
-def convolution_bound(c1: float, k: int, c2: float, ell: int, n: int, t: float) -> float:
-    """Upper bound C1·C2·n·k!ℓ!/(k+ℓ+1)!·t^{k+ℓ+1} for a single convolution
-    of kernels bounded by C1·t^k and C2·t^ℓ on an n-vertex graph."""
-    if c1 < 0 or c2 < 0 or k < 0 or ell < 0 or n < 1:
-        raise ContractViolation("bound arguments out of range")
-    if c1 == 0.0 or c2 == 0.0:
-        return 0.0
-    log_coef = math.lgamma(k + 1) + math.lgamma(ell + 1) - math.lgamma(k + ell + 2)
-    return c1 * c2 * n * math.exp(log_coef) * t ** (k + ell + 1)
 
 
 def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:

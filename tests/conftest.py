@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
-from heatpar.errors import ContractViolation
+from heatpar.bessel import besseli, intro_identity_sum
+from heatpar.errors import ContractViolation, DomainError
 from heatpar.graph import WeightedGraph
 from heatpar.series import fold_bound
 
@@ -29,6 +30,28 @@ def besseli_oracle(n: int, x: float) -> float:
         if ratio < 1.0 and term * ratio / (1.0 - ratio) < 1e-17 * total:
             return total
     raise RuntimeError("oracle did not converge")
+
+
+def verify_intro_identity(
+    x: int, y: int, t: float, order_cap: int, quad_steps: int
+) -> float:
+    """Absolute residual |I_{x+y}(t) − truncated alternating sum|."""
+    if t == 0.0:
+        if x < 1 or y < 0:
+            raise DomainError("identity requires x >= 1 and y >= 0")
+        return 0.0
+    return abs(besseli(x + y, t) - intro_identity_sum(x, y, t, order_cap, quad_steps))
+
+
+def convolution_bound(c1: float, k: int, c2: float, ell: int, n: int, t: float) -> float:
+    """Upper bound C1·C2·n·k!ℓ!/(k+ℓ+1)!·t^{k+ℓ+1} for a single convolution
+    of kernels bounded by C1·t^k and C2·t^ℓ on an n-vertex graph."""
+    if c1 < 0 or c2 < 0 or k < 0 or ell < 0 or n < 1:
+        raise ContractViolation("bound arguments out of range")
+    if c1 == 0.0 or c2 == 0.0:
+        return 0.0
+    log_coef = math.lgamma(k + 1) + math.lgamma(ell + 1) - math.lgamma(k + ell + 2)
+    return c1 * c2 * n * math.exp(log_coef) * t ** (k + ell + 1)
 
 
 def random_graph(rng: np.random.Generator, n_max: int = 10, w_max: float = 2.0,

@@ -17,8 +17,6 @@ from heatpar.bessel import (
     besseli,
     halfline_dirichlet_closed_form,
     halfline_window_kernel,
-    kernel_halfline_dirichlet,
-    verify_intro_identity,
     watson_series,
     z_window_kernel,
 )
@@ -30,12 +28,7 @@ from heatpar.embed1d import (
     embed_heat_kernel,
 )
 from heatpar.graph import SubgraphEmbedding, WeightedGraph
-from heatpar.oracle import (
-    compare_kernels,
-    expm_heat_kernel,
-    spectral_heat_kernel,
-    spectral_kernel_series,
-)
+from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel
 from heatpar.parametrix import (
     assemble_heat_kernel,
     complete_graph_kernel,
@@ -46,9 +39,9 @@ from heatpar.parametrix import (
     restriction_parametrix,
     subgraph_kernel_closed_form,
 )
-from heatpar.series import KernelSeries, TimeGrid, convolution_bound, convolve, sample_closed_form
+from heatpar.series import KernelSeries, TimeGrid, convolve, sample_closed_form
 
-from conftest import random_graph
+from conftest import convolution_bound, random_graph, verify_intro_identity
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -106,8 +99,9 @@ def test_criterion_2_closed_form_engine_vs_spectral():
             removed_edges=frozenset(frozenset(pairs[i]) for i in take),
         )
         exact = subgraph_kernel_closed_form(e)
+        spectral = spectral_kernel(e.subgraph)
         for t in (0.25, 1.0, 4.0):
-            d = np.abs(exact.at(t) - spectral_heat_kernel(e.subgraph, t)).max()
+            d = np.abs(exact.at(t) - spectral.at(t)).max()
             worst = max(worst, float(d))
     report(
         "criterion-2 closed-form engine vs spectral",
@@ -126,7 +120,7 @@ def _criterion3_corpus(count: int):
 def _diagonal_pipeline_error(g, steps):
     grid = TimeGrid(2.0, steps)
     hg = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-8)
-    return compare_kernels(hg, spectral_kernel_series(g, grid)).sup_error
+    return compare_kernels(hg, sample_closed_form(spectral_kernel(g), grid)).sup_error
 
 
 @pytest.mark.slow
@@ -160,7 +154,7 @@ def test_criterion_4_halfline_neumann_kernel():
     grid = TimeGrid(2.0, 1200)
     p = restriction_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
     hg = heat_kernel_via_parametrix(p, 1e-10)
-    closed = sample_closed_form(halfline_window_kernel(w + 1), grid)
+    closed = sample_closed_form(halfline_window_kernel(np.arange(w + 1)), grid)
     sup = float(np.abs(hg.values[:, :6, :6] - closed.values[:, :6, :6]).max())
     report(
         "criterion-4 half-line kernel via windowed parametrix",
@@ -176,7 +170,7 @@ def test_criterion_5_dirichlet_halfline():
     grid = TimeGrid(2.0, 1200)
     p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
     hg = heat_kernel_via_parametrix(p, 1e-10)
-    closed = sample_closed_form(halfline_dirichlet_closed_form(w + 1), grid)
+    closed = sample_closed_form(halfline_dirichlet_closed_form(np.arange(w + 1)), grid)
     sup = float(np.abs(hg.values[:, :6, :6] - closed.values[:, :6, :6]).max())
     boundary_row = float(np.abs(hg.values[:, 0, :]).max())
     report(
@@ -238,7 +232,7 @@ def test_criterion_7_interval_embedding():
     for normalization in ("symmetric", "first"):
         p = averaged_parametrix(dom, cells, bumps, grid, g, normalization=normalization)
         kernels[normalization] = embed_heat_kernel(p, g, 1e-8)
-    spectral = spectral_kernel_series(g, grid)
+    spectral = sample_closed_form(spectral_kernel(g), grid)
     sup = compare_kernels(kernels["symmetric"], spectral).sup_error
     between = float(
         np.abs(kernels["symmetric"].values - kernels["first"].values).max()

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import ive
+
 from heatpar.bessel import (
-    BesselEvaluator,
     bessel_tail_bound,
     bessel_time_convolve,
     besseli,
@@ -13,16 +14,12 @@ from heatpar.bessel import (
     halfline_dirichlet_closed_form,
     halfline_window_kernel,
     intro_identity_sum,
-    kernel_Z,
-    kernel_halfline,
-    kernel_halfline_dirichlet,
-    verify_intro_identity,
     watson_series,
     z_window_kernel,
 )
 from heatpar.errors import DomainError
 
-from conftest import besseli_oracle
+from conftest import besseli_oracle, verify_intro_identity
 
 # frozen reference values, computed from the power series before the build
 I0_1 = 1.2660658777520083
@@ -62,11 +59,6 @@ class TestBesseli:
             besseli(0, 41.0)
         with pytest.raises(DomainError):
             besseli(-1, 1.0)
-
-    def test_custom_evaluator_range(self):
-        ev = BesselEvaluator(x_max=5.0)
-        with pytest.raises(DomainError):
-            ev.value(0, 6.0)
 
     def test_row_matches_scalar(self):
         for x in (0.3, 2.0, 7.7, 23.0):
@@ -122,40 +114,45 @@ class TestTailBound:
 
 class TestLatticeKernels:
     def test_z_dirac(self):
-        assert kernel_Z(3, 3, 0.0) == 1.0
-        assert kernel_Z(3, 5, 0.0) == 0.0
+        m = z_window_kernel([3, 5]).at(0.0)
+        assert m[0, 0] == 1.0
+        assert m[0, 1] == 0.0
 
     def test_z_frozen_value(self):
-        assert kernel_Z(1, 0, 0.5) == pytest.approx(EXP1_I1_1, abs=1e-13)
+        assert z_window_kernel([1, 0]).at(0.5)[0, 1] == pytest.approx(EXP1_I1_1, abs=1e-13)
 
     def test_z_mass_conservation(self):
         # the window mass misses its target by at most the two edge tails
         t = 1.25
-        window = range(-30, 31)
-        mass = sum(kernel_Z(0, w, t) for w in window)
+        mass = z_window_kernel(np.arange(-30, 31)).at(t)[30].sum()
         tail = 2.0 * math.exp(-2.0 * t) * bessel_tail_bound(31, 2.0 * t)
         assert abs(mass - 1.0) <= tail + 1e-13
 
     def test_halfline_dirac_and_value(self):
-        assert kernel_halfline(4, 4, 0.0) == 1.0
-        assert kernel_halfline(4, 2, 0.0) == 0.0
-        assert kernel_halfline(0, 0, 1.0) == pytest.approx(HALFLINE_00_T1, abs=1e-13)
+        m = halfline_window_kernel([4, 2]).at(0.0)
+        assert m[0, 0] == 1.0
+        assert m[0, 1] == 0.0
+        assert halfline_window_kernel([0]).at(1.0)[0, 0] == pytest.approx(
+            HALFLINE_00_T1, abs=1e-13
+        )
 
     def test_halfline_symmetric(self):
-        for v, w in ((0, 3), (2, 5), (1, 1)):
-            assert kernel_halfline(v, w, 0.8) == kernel_halfline(w, v, 0.8)
+        m = halfline_window_kernel([0, 3, 2, 5, 1]).at(0.8)
+        assert np.array_equal(m, m.T)
         with pytest.raises(DomainError):
-            kernel_halfline(-1, 0, 1.0)
+            halfline_window_kernel([-1, 0])
 
     def test_dirichlet_boundary_row(self):
-        for y in range(5):
-            assert kernel_halfline_dirichlet(0, y, 1.3) == pytest.approx(0.0, abs=1e-15)
+        m = halfline_dirichlet_closed_form(np.arange(5)).at(1.3)
+        assert np.abs(m[0]).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_dirichlet_dirac_and_value(self):
-        assert kernel_halfline_dirichlet(2, 2, 0.0) == 1.0
-        assert kernel_halfline_dirichlet(1, 1, 1.0) == pytest.approx(
+        assert halfline_dirichlet_closed_form([2]).at(0.0)[0, 0] == 1.0
+        assert halfline_dirichlet_closed_form([1]).at(1.0)[0, 0] == pytest.approx(
             DIRICHLET_11_T1, abs=1e-13
         )
+        with pytest.raises(DomainError):
+            halfline_dirichlet_closed_form([0, -2])
 
 
 class TestClosedFormBuilders:
@@ -168,20 +165,31 @@ class TestClosedFormBuilders:
         ],
     )
     def test_matrix_matches_scalar(self, builder, arg):
-        # one batched sample against the scalar closed forms, node by node
-        kernel = builder(arg)
-        scalar = {
-            z_window_kernel: lambda i, j, t: kernel_Z(int(arg[i]), int(arg[j]), t),
-            halfline_window_kernel: kernel_halfline,
-            halfline_dirichlet_closed_form: kernel_halfline_dirichlet,
-        }[builder]
+        # one batched sample against scipy's e^{−x} I_n(x), entry by entry;
+        # an integer ``arg`` stands for the coordinates 0..arg−1
+        coords = np.arange(arg) if np.ndim(arg) == 0 else arg
+        kernel = builder(coords)
         times = np.array([0.0, 0.05, 0.7, 1.9, 6.0])
+        x = 2.0 * times[:, None, None]
+        dist = np.abs(coords[:, None] - coords[None, :])
+        total = coords[:, None] + coords[None, :]
+        expected = {
+            z_window_kernel: lambda: ive(dist, x),
+            halfline_window_kernel: lambda: ive(dist, x) + ive(total + 1, x),
+            halfline_dirichlet_closed_form: lambda: ive(dist, x) - ive(total, x),
+        }[builder]()
         m = kernel.sample(times)
         assert m.shape == (times.size, kernel.n, kernel.n)
-        for k, t in enumerate(times):
-            for i in range(kernel.n):
-                for j in range(kernel.n):
-                    assert m[k, i, j] == pytest.approx(scalar(i, j, float(t)), abs=1e-14)
+        assert np.abs(m - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "builder", [z_window_kernel, halfline_window_kernel, halfline_dirichlet_closed_form]
+    )
+    def test_coordinate_order_permutes_the_kernel(self, builder):
+        perm = np.array([3, 0, 4, 1, 2])
+        times = np.array([0.0, 0.7, 6.0])
+        ordered = builder(np.arange(5)).sample(times)
+        assert np.array_equal(builder(perm).sample(times), ordered[:, perm[:, None], perm])
 
 
 class TestTimeConvolution:

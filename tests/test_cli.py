@@ -93,10 +93,35 @@ class TestKernelCommand:
         )
         assert status == 0
         rows = json.loads(out.read_text())["rows"]
-        from heatpar.bessel import kernel_halfline
+        from scipy.special import ive
 
+        # e^{−2t}(I_{|v−w|}(2t) + I_{v+w+1}(2t)) at v, w, t = 2, 5, 0.5
         picked = [r for r in rows if r[0] == 0.5 and r[1] == "2" and r[2] == "5"]
-        assert picked[0][3] == pytest.approx(kernel_halfline(2, 5, 0.5), abs=1e-13)
+        assert picked[0][3] == pytest.approx(ive(3, 1.0) + ive(8, 1.0), abs=1e-13)
+
+    def test_shuffled_halfline_permutes_the_kernel(self):
+        # the half-line methods read lattice coordinates, so listing the
+        # vertices in another order only permutes the kernel
+        import numpy as np
+
+        from heatpar.cli import compute_kernel
+        from heatpar.documents import parse_document
+
+        with open(case("halfline_w40.json"), encoding="utf-8") as f:
+            data = json.load(f)
+        perm = np.random.default_rng(5).permutation(len(data["vertices"]))
+        shuffled = dict(data, vertices=[data["vertices"][i] for i in perm])
+        docs = [parse_document(json.dumps(d)) for d in (data, shuffled)]
+        for method, atol in (
+            ("closed-form-halfline", 0.0),
+            ("closed-form-halfline-dirichlet", 0.0),
+            ("dirichlet", 1e-15),
+        ):
+            (_, names, ordered), (_, names_s, vals) = (
+                compute_kernel(doc, method, 1.0, 50, 1e-10) for doc in docs
+            )
+            assert list(names_s) == [names[i] for i in perm]
+            assert np.abs(vals - ordered[:, perm[:, None], perm]).max() <= atol, method
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -161,6 +186,44 @@ class TestKernelCommand:
         )
         assert status == 3
         assert "refine the time grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["2048", "4096"])
+    def test_asymmetric_embed_kernel_exits_3(self, tmp_path, capsys, steps):
+        # the series is solved on these grids, but half the kernel's
+        # asymmetry, a lower bound on its error, is about 2.8e8 and 15
+        status = run_main(
+            [
+                "kernel",
+                "--graph",
+                case("path3_interval.json"),
+                "--method",
+                "parametrix-embed",
+                "--t-max",
+                "0.5",
+                "--steps",
+                steps,
+                "--tol",
+                "1e-8",
+                "--out",
+                str(tmp_path / "k.csv"),
+            ]
+        )
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "K - K^T" in err and "refine the time grid" in err
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_half_asymmetry_reads_every_block(self):
+        import numpy as np
+
+        from heatpar.cli import _half_asymmetry
+
+        vals = np.zeros((3, 300, 300))  # one time per block
+        assert _half_asymmetry(vals) == 0.0
+        vals[2, 7, 250] = 0.3
+        assert _half_asymmetry(vals) == pytest.approx(0.15)
+        vals[1, 4, 4] = np.nan  # refused by compute_kernel, never passed
+        assert np.isnan(_half_asymmetry(vals))
 
 
 def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):
@@ -381,7 +444,7 @@ class TestEntryPoint:
             ["verify", "--graph", case("halfline_w40.json"), "--method-a", "dirichlet",
              "--method-b", "closed-form-halfline-dirichlet", "--budget", "1e-3", *common],
             ["kernel", "--graph", case("path3_interval.json"), "--method", "parametrix-embed",
-             *common],
+             "--t-max", "0.25", "--steps", "8192", "--out", str(tmp_path / "out")],
         ]
         script = (
             "import json, sys\n"
@@ -394,3 +457,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, 0, 0], False]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_invalid_thread_count_exits_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("HEATPAR_THREADS", value)
+        assert run_main(["export", "--graph", case("k2.json"), "--out", os.devnull]) == 2
+        assert "HEATPAR_THREADS must be a positive integer" in capsys.readouterr().err
+
+    def test_thread_count_overrides_blas_variables(self, monkeypatch, tmp_path):
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in blas:
+            monkeypatch.setenv(var, "5")  # restored after the test
+        monkeypatch.setenv("HEATPAR_THREADS", "2")
+        out = str(tmp_path / "k2.json")
+        assert run_main(["export", "--graph", case("k2.json"), "--out", out]) == 0
+        assert [os.environ[var] for var in blas] == ["2", "2", "2"]
+
+    def test_every_export_resolves(self):
+        # a name left in __all__ after its definition is gone fails here
+        # rather than on first access
+        import heatpar
+
+        for name in heatpar.__all__:
+            assert getattr(heatpar, name) is not None, name

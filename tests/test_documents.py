@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heatpar.documents import (
-    ambient_is_unit_complete,
     ambient_path_coordinates,
     canonical_document,
     halfline_coordinates,
@@ -12,6 +11,7 @@ from heatpar.documents import (
     parse_document,
 )
 from heatpar.errors import ParseError
+from heatpar.graph import ambient_is_unit_complete
 
 PLAIN = json.dumps(
     {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1.0], ["b", "c", 2.0]]}
@@ -34,14 +34,14 @@ class TestParsing:
     def test_plain_graph(self):
         doc = parse_document(PLAIN)
         assert doc.names == ("a", "b", "c")
-        assert not doc.is_embedding
+        assert doc.embedding is None
         assert doc.graph.weights[0, 1] == 1.0
         assert doc.graph.weights[1, 2] == 2.0
         assert doc.graph.weights[0, 2] == 0.0
 
     def test_embedding(self):
         doc = parse_document(EMBEDDED)
-        assert doc.is_embedding
+        assert doc.embedding is not None
         assert doc.graph.weights[0, 1] == 0.0  # removed
         assert doc.graph.weights[0, 2] == 1.0
         assert doc.embedding.removed_edges == frozenset([frozenset((0, 1))])

@@ -10,15 +10,14 @@ from heatpar.embed1d import (
     build_bumps,
     build_voronoi,
     embed_heat_kernel,
-    interval_heat_kernel,
     modes_for_time,
     series_tail_bound,
     smoothstep,
 )
-from heatpar.errors import ContractViolation, DomainError, ResolutionError
+from heatpar.errors import ContractViolation, ResolutionError
 from heatpar.graph import WeightedGraph
-from heatpar.oracle import compare_kernels, spectral_kernel_series
-from heatpar.series import TimeGrid
+from heatpar.oracle import compare_kernels, spectral_kernel
+from heatpar.series import TimeGrid, sample_closed_form
 
 # exact overshoot amplitude for the calibrated quintic band, from the
 # closed-form quadratic (plateau + band moments integrated symbolically)
@@ -33,30 +32,6 @@ def fine_integral(f, a, b, panels=200_000):
 
 
 class TestIntervalKernel:
-    def test_symmetry_and_reflection(self):
-        d = IntervalDomain(length=1.0, n_modes=60, quad_points=64)
-        k1 = interval_heat_kernel(d, 0.3, 0.55, 0.02)
-        assert k1 == pytest.approx(interval_heat_kernel(d, 0.55, 0.3, 0.02), abs=1e-13)
-        k2 = interval_heat_kernel(d, 0.7, 0.45, 0.02)
-        assert k1 == pytest.approx(k2, abs=1e-12)
-
-    def test_mass_leaks(self):
-        d = IntervalDomain(length=1.0, n_modes=200, quad_points=64)
-        xs = np.linspace(1e-4, 1.0 - 1e-4, 4001)
-        for t in (0.01, 0.1):
-            vals = np.array([interval_heat_kernel(d, 0.4, float(y), t) for y in xs])
-            mass = np.trapezoid(vals, xs)
-            assert mass <= 1.0 + 1e-9
-            if t == 0.1:
-                assert mass < 0.9  # Dirichlet absorption is visible
-
-    def test_domain_errors(self):
-        d = IntervalDomain(length=1.0, n_modes=10, quad_points=64)
-        with pytest.raises(DomainError):
-            interval_heat_kernel(d, 0.0, 0.5, 0.1)
-        with pytest.raises(DomainError):
-            interval_heat_kernel(d, 0.5, 1.5, 0.1)
-
     def test_mode_certificate(self):
         t_min = 1e-4 / math.pi**2
         n = modes_for_time(1.0, t_min, 1e-10)
@@ -250,7 +225,7 @@ class TestEmbeddedKernel:
         grid = TimeGrid(0.5, 65536)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
         hg = embed_heat_kernel(p, g, 1e-8)
-        sp = spectral_kernel_series(g, grid)
+        sp = sample_closed_form(spectral_kernel(g), grid)
         assert compare_kernels(hg, sp).sup_error <= 8e-3
 
     def test_normalizations_agree(self):

@@ -9,7 +9,6 @@ from heatpar.graph import (
     WeightedGraph,
     adjacency_complement,
     boundary_sets,
-    laplacian_apply,
 )
 
 from conftest import random_graph
@@ -54,20 +53,16 @@ class TestWeightedGraph:
 class TestLaplacian:
     def test_constant_is_harmonic(self, rng):
         g = random_graph(rng)
-        out = laplacian_apply(g, np.full(g.n, 3.7))
+        out = g.laplacian_matrix() @ np.full(g.n, 3.7)
         assert np.abs(out).max() <= 1e-12 * 3.7 * g.mu.sum()
 
     def test_k2_example(self):
-        out = laplacian_apply(WeightedGraph.path(2), [1.0, 0.0])
+        out = WeightedGraph.path(2).laplacian_matrix() @ [1.0, 0.0]
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_p3_example(self):
-        out = laplacian_apply(WeightedGraph.path(3), [1.0, 0.0, 0.0])
+        out = WeightedGraph.path(3).laplacian_matrix() @ [1.0, 0.0, 0.0]
         assert np.array_equal(out, [1.0, -1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            laplacian_apply(WeightedGraph.path(3), [1.0, 0.0])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -75,7 +70,7 @@ class TestLaplacian:
         rng = np.random.default_rng(seed)
         g = random_graph(rng)
         f = rng.normal(size=g.n)
-        total = laplacian_apply(g, f).sum()
+        total = (g.laplacian_matrix() @ f).sum()
         assert abs(total) <= 1e-12 * max(1e-30, np.abs(f).max() * g.mu.sum())
 
     @settings(max_examples=30, deadline=None)
@@ -84,7 +79,8 @@ class TestLaplacian:
         rng = np.random.default_rng(seed)
         g = random_graph(rng)
         f, h = rng.normal(size=g.n), rng.normal(size=g.n)
-        lf, lh = laplacian_apply(g, f), laplacian_apply(g, h)
+        lap = g.laplacian_matrix()
+        lf, lh = lap @ f, lap @ h
         scale = max(1e-30, abs(lf @ h), abs(f @ lh))
         assert abs(lf @ h - f @ lh) <= 1e-12 * scale
         assert f @ lf >= -1e-12 * (f @ f)
@@ -108,12 +104,6 @@ class TestEmbedding:
         e = k5_minus_edge()
         w = e.subgraph.weights
         assert w[0, 1] == 0.0 and w[0, 2] == 1.0 and w[3, 4] == 1.0
-
-    def test_degree_profile(self):
-        e = k5_minus_edge()
-        prof = e.degree_profile()
-        assert np.allclose(prof.mu_ambient, 4.0)
-        assert np.allclose(prof.mu, [3.0, 3.0, 4.0, 4.0, 4.0])
 
     def test_boundary_k5(self):
         boundary, interior, second = boundary_sets(k5_minus_edge())

@@ -11,11 +11,9 @@ from heatpar.oracle import (
     compare_kernels,
     expm_heat_kernel,
     jacobi_eigh,
-    spectral_decomposition,
-    spectral_heat_kernel,
-    spectral_kernel_series,
+    spectral_kernel,
 )
-from heatpar.series import TimeGrid
+from heatpar.series import TimeGrid, sample_closed_form
 
 from conftest import lattice_hole_document, random_graph, sequential_jacobi_eigh
 
@@ -96,28 +94,29 @@ class TestRoundRobinJacobi:
 class TestSpectralKernel:
     def test_identity_at_zero(self, rng):
         g = random_graph(rng)
-        assert np.abs(spectral_heat_kernel(g, 0.0) - np.eye(g.n)).max() <= 1e-12
+        assert np.abs(spectral_kernel(g).at(0.0) - np.eye(g.n)).max() <= 1e-12
 
     def test_k2_closed_form(self):
-        g = WeightedGraph.complete(2)
+        kernel = spectral_kernel(WeightedGraph.complete(2))
         for t in (0.25, 1.0, 3.0):
-            h = spectral_heat_kernel(g, t)
+            h = kernel.at(t)
             diag = (1.0 + math.exp(-2.0 * t)) / 2.0
             off = (1.0 - math.exp(-2.0 * t)) / 2.0
             assert h[0, 0] == pytest.approx(diag, abs=1e-12)
             assert h[0, 1] == pytest.approx(off, abs=1e-12)
 
     def test_p3_hand_eigendecomposition(self):
-        g = WeightedGraph.path(3)
+        kernel = spectral_kernel(WeightedGraph.path(3))
         for t in (0.1, 0.7, 2.0):
-            h = spectral_heat_kernel(g, t)
+            h = kernel.at(t)
             assert h[0, 0] == pytest.approx(p3_first_entry(t), abs=1e-12)
 
     def test_identities(self, rng):
         for _ in range(10):
             g = random_graph(rng, n_max=8)
             t, s = 0.6, 1.1
-            ht, hs, hts = (spectral_heat_kernel(g, u) for u in (t, s, t + s))
+            kernel = spectral_kernel(g)
+            ht, hs, hts = (kernel.at(u) for u in (t, s, t + s))
             assert np.abs(ht - ht.T).max() <= 1e-12
             assert np.abs(ht @ hs - hts).max() <= 1e-12
             assert np.abs(ht.sum(axis=1) - 1.0).max() <= 1e-11
@@ -126,7 +125,7 @@ class TestSpectralKernel:
         # connected unit-weight graph: diagonal decreases toward equilibrium
         g = WeightedGraph.complete(5)
         grid = TimeGrid(3.0, 60)
-        series = spectral_kernel_series(g, grid)
+        series = sample_closed_form(spectral_kernel(g), grid)
         diag = series.values[:, 2, 2]
         assert np.all(np.diff(diag) <= 1e-12)
 
@@ -153,7 +152,7 @@ class TestExpm:
             g = random_graph(rng, n_max=12)
             t = float(rng.uniform(0.0, 5.0))
             d = np.abs(
-                spectral_heat_kernel(g, t) - expm_heat_kernel(g, t)
+                spectral_kernel(g).at(t) - expm_heat_kernel(g, t)
             ).max()
             worst = max(worst, d)
         assert worst <= 1e-10
@@ -163,7 +162,7 @@ class TestCompareKernels:
     def test_zero_report_for_identical(self, rng):
         g = random_graph(rng)
         grid = TimeGrid(1.0, 8)
-        s = spectral_kernel_series(g, grid)
+        s = sample_closed_form(spectral_kernel(g), grid)
         report = compare_kernels(s, s)
         assert report.sup_error == 0.0
         assert np.all(report.per_time_error == 0.0)
@@ -192,13 +191,14 @@ class TestCompareKernels:
         for steps in (250, 500):
             grid = TimeGrid(1.0, steps)
             hg = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-10)
-            sp = spectral_kernel_series(g, grid)
+            sp = sample_closed_form(spectral_kernel(g), grid)
             errs.append(compare_kernels(hg, sp).sup_error)
         assert errs[0] / errs[1] >= 3.5
 
     def test_decomposition_caching_equivalence(self):
+        # a kernel keeps one decomposition across samples: a reused kernel
+        # agrees with a fresh one bit for bit
         g = WeightedGraph.path(5)
-        decomp = spectral_decomposition(g)
-        a = spectral_heat_kernel(g, 0.9, decomp=decomp)
-        b = spectral_heat_kernel(g, 0.9)
-        assert np.array_equal(a, b)
+        kernel = spectral_kernel(g)
+        kernel.at(0.3)
+        assert np.array_equal(kernel.at(0.9), spectral_kernel(g).at(0.9))

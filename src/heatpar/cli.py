@@ -69,22 +69,27 @@ def _write_text(path: str | None, text: str):
 
 
 def _emit_table(times, names, values, fmt: str, out: str | None, meta: dict):
-    lines = []
+    pairs = [(xn, yn) for xn in names for yn in names]
+    rows = values.reshape(len(times), len(pairs)).tolist()
     if fmt == "csv":
-        lines.append("t,x,y,value")
-        for j, t in enumerate(times):
-            for a, xn in enumerate(names):
-                for b, yn in enumerate(names):
-                    lines.append(f"{_fmt(t)},{xn},{yn},{_fmt(values[j][a][b])}")
-        _write_text(out, "\n".join(lines) + "\n")
+        # one "%s,x,y,%.17g" line per vertex pair, names escaped for %;
+        # each time node is formatted once and interleaved with its values
+        esc = [(xn.replace("%", "%%"), yn.replace("%", "%%")) for xn, yn in pairs]
+        template = "".join(f"%s,{xn},{yn},%.17g\n" for xn, yn in esc)
+        args = [None] * (2 * len(pairs))
+        chunks = ["t,x,y,value\n"]
+        for t, row in zip(times, rows):
+            args[0::2] = [_fmt(t)] * len(pairs)
+            args[1::2] = row
+            chunks.append(template % tuple(args))
+        _write_text(out, "".join(chunks))
     else:
-        rows = [
-            [float(t), xn, yn, float(values[j][a][b])]
-            for j, t in enumerate(times)
-            for a, xn in enumerate(names)
-            for b, yn in enumerate(names)
+        table = [
+            [float(t), xn, yn, v]
+            for t, row in zip(times, rows)
+            for (xn, yn), v in zip(pairs, row)
         ]
-        doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": rows}
+        doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": table}
         _write_text(out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 

@@ -197,18 +197,32 @@ def build_bumps(cells: list[VoronoiCell1D], quad_points: int = 1600) -> BumpFami
 
 
 _QUAD_BUDGET = 1e-6  # largest accepted quadrature self-estimate of the overlaps
+_MODE_BLOCK = 32  # modes per angle-addition block in the overlaps
+# e^{−x} is exactly 0.0 in double precision for x >= _EXP_UNDERFLOW
+_EXP_UNDERFLOW = 745.2
 
 
 def _mode_overlaps(
     d: IntervalDomain, cells, bumps: BumpFamily, quad_points: int
 ) -> np.ndarray:
-    """s[m, v] = ∫ sin((m+1)πx/L) η_v(x) dx over each cell."""
-    freqs = np.arange(1, d.n_modes + 1) * math.pi / d.length
+    """s[m, v] = ∫ sin((m+1)πx/L) η_v(x) dx over each cell.
+
+    Mode q + r, with q a multiple of ``_MODE_BLOCK`` and 1 <= r <= _MODE_BLOCK,
+    is expanded as sin qθ·cos rθ + cos qθ·sin rθ (θ = πx/L), so each node
+    takes a few dozen sines and cosines and the sums are two small matrix
+    products instead of one sine per (mode, node).
+    """
+    blocks = -(-d.n_modes // _MODE_BLOCK)
+    q = np.arange(blocks)[:, None] * _MODE_BLOCK
+    r = np.arange(1, _MODE_BLOCK + 1)[:, None]
     out = np.empty((d.n_modes, len(cells)))
     for v, cell in enumerate(cells):
         xs, ws = _cell_quadrature(cell, quad_points)
         weighted = ws * bumps.evaluate(v, xs)
-        out[:, v] = np.sin(np.outer(freqs, xs)) @ weighted
+        theta = xs * (math.pi / d.length)
+        qt, rt = q * theta, r * theta
+        s = (np.sin(qt) * weighted) @ np.cos(rt).T + (np.cos(qt) * weighted) @ np.sin(rt).T
+        out[:, v] = s.reshape(-1)[: d.n_modes]
     return out
 
 
@@ -254,18 +268,21 @@ def averaged_parametrix(
     else:
         norm = 1.0 / mu[:, None] * np.ones((1, len(cells)))
 
-    # mode sums collapse to one matrix product per chunk of times, with the
-    # (times × modes) exponentials kept to a bounded size
+    # mode sums collapse to one matrix product per block of times.  The
+    # rates increase, so in a block only the modes with rate·t_min below the
+    # underflow cut have a nonzero exponential; the rest are skipped exactly.
     nv = graph.n
     pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
-    chunk = max(1, 8_388_608 // max(1, d.n_modes))
+    chunk = max(1, 131_072 // d.n_modes)
 
     def mode_sums(times: np.ndarray, *coefs: np.ndarray) -> list[np.ndarray]:
         outs = [np.empty((len(times), nv, nv)) for _ in coefs]
         for j0 in range(0, len(times), chunk):
-            w = np.exp(-np.outer(times[j0 : j0 + chunk], rates))
+            block = times[j0 : j0 + chunk]
+            live = int(np.searchsorted(rates * block.min(), _EXP_UNDERFLOW))
+            w = np.exp(-np.outer(block, rates[:live]))
             for out, coef in zip(outs, coefs):
-                out[j0 : j0 + chunk] = (w @ coef).reshape(-1, nv, nv) * norm
+                out[j0 : j0 + chunk] = (w @ coef[:live]).reshape(-1, nv, nv) * norm
         return outs
 
     kernel = ClosedFormKernel("sine-series", nv, lambda times: mode_sums(times, pair)[0])

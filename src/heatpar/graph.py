@@ -187,14 +187,12 @@ def boundary_sets(e: SubgraphEmbedding) -> tuple[set[int], set[int], set[int]]:
     Int(G) is the rest.  The third set is the boundary of Int(G)
     re-embedded into G, i.e. interior vertices that are G-adjacent to ∂G.
     """
-    boundary = set(v for v in e.kept if adjacency_complement(e, v))
-    interior = set(e.kept) - boundary
-    if not interior:
-        return boundary, interior, set()
-    sub = e.subgraph
-    interior_idx = sorted(e.subgraph_index(v) for v in interior)
-    inner = SubgraphEmbedding(ambient=sub, kept=tuple(interior_idx))
-    inner_boundary, _, _ = boundary_sets(inner) if inner.n < e.n else (set(), set(), set())
-    # map back: inner ids are subgraph indices of e
-    second = set(e.kept[i] for i in inner_boundary)
+    kept_set = set(e.kept)
+    nbrs = {v: set(np.flatnonzero(e.ambient.weights[v] > 0).tolist()) for v in e.kept}
+    in_removed = {v for edge in e.removed_edges for v in edge}
+    boundary = {v for v in e.kept if v in in_removed or not nbrs[v] <= kept_set}
+    interior = kept_set - boundary
+    # an interior vertex lies on no removed edge, so each of its ambient
+    # edges to a kept vertex is an edge of G
+    second = {v for v in interior if nbrs[v] & boundary}
     return boundary, interior, second

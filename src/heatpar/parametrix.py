@@ -71,8 +71,11 @@ class Parametrix:
             supp = tuple(sorted(set(int(v) for v in self.support)))
             if supp and (supp[0] < 0 or supp[-1] >= n):
                 raise ContractViolation("support vertices out of range")
-            off = np.delete(self.heat_image.values, supp, axis=1)
-            if off.size and np.any(off != 0.0):
+            # the support is sorted, so the rows off it are the gaps between
+            # consecutive support rows; each gap is checked as a view
+            lh = self.heat_image.values
+            gaps = zip((-1,) + supp, supp + (n,))
+            if any(lh[:, a + 1 : b].any() for a, b in gaps):
                 raise ContractViolation("heat image is not zero off the declared support")
             object.__setattr__(self, "support", supp)
 

@@ -157,9 +157,8 @@ def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:
 def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> KernelSeries:
     """Sample a closed-form kernel at every grid node in one call."""
     vals = np.asarray(kernel.sample(grid.nodes), dtype=float)
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        j, x, y = bad[0]
+    if not np.isfinite(vals).all():
+        j, x, y = np.argwhere(~np.isfinite(vals))[0]
         raise SamplingError(
             f"{kernel.family} kernel returned a non-finite value at "
             f"(x={x}, y={y}, t={grid.nodes[j]})"

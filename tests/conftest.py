@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
 from heatpar.bessel import besseli, intro_identity_sum
+from heatpar.embed1d import _mode_overlaps
 from heatpar.errors import ContractViolation, DomainError
-from heatpar.graph import WeightedGraph
+from heatpar.graph import SubgraphEmbedding, WeightedGraph, adjacency_complement
 from heatpar.series import fold_bound
 
 
@@ -206,6 +208,65 @@ def term_by_term_series(p, tol: float, max_terms: int = 10000):
     F = np.zeros((m1, n, n))
     F[:, supp, :] = f_s
     return F
+
+
+def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
+    """Reference for ``cli._emit_table``: the text it writes, built one
+    (t, x, y) row at a time with every number formatted on its own."""
+
+    def fmt17(x):
+        return format(float(x), ".17g")
+
+    if fmt == "csv":
+        lines = ["t,x,y,value"]
+        for j, t in enumerate(times):
+            for a, xn in enumerate(names):
+                for b, yn in enumerate(names):
+                    lines.append(f"{fmt17(t)},{xn},{yn},{fmt17(values[j][a][b])}")
+        return "\n".join(lines) + "\n"
+    rows = [
+        [float(t), xn, yn, float(values[j][a][b])]
+        for j, t in enumerate(times)
+        for a, xn in enumerate(names)
+        for b, yn in enumerate(names)
+    ]
+    doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": rows}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def recursive_boundary_sets(e: SubgraphEmbedding):
+    """Reference for ``boundary_sets``: ∂(G∖∂G) found by re-embedding the
+    interior into G and taking that embedding's boundary recursively."""
+    boundary = set(v for v in e.kept if adjacency_complement(e, v))
+    interior = set(e.kept) - boundary
+    if not interior:
+        return boundary, interior, set()
+    sub = e.subgraph
+    interior_idx = sorted(e.subgraph_index(v) for v in interior)
+    inner = SubgraphEmbedding(ambient=sub, kept=tuple(interior_idx))
+    inner_boundary, _, _ = (
+        recursive_boundary_sets(inner) if inner.n < e.n else (set(), set(), set())
+    )
+    # map back: inner ids are subgraph indices of e
+    second = set(e.kept[i] for i in inner_boundary)
+    return boundary, interior, second
+
+
+def full_mode_parametrix(d, cells, bumps, grid, graph):
+    """Reference for the symmetric ``averaged_parametrix`` samples and heat
+    image: every sine mode summed at every time, on the refined overlaps.
+    Returns (H, LH) at the grid nodes."""
+    mu = np.array([c.measure for c in cells])
+    s = _mode_overlaps(d, cells, bumps, 2 * d.quad_points)
+    rates = d.rates()
+    nv = graph.n
+    norm = 1.0 / np.sqrt(np.outer(mu, mu))
+    pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
+    w = np.exp(-np.outer(grid.nodes, rates))
+    h = (w @ pair).reshape(-1, nv, nv) * norm
+    dh = (w @ (pair * (-rates[:, None]))).reshape(-1, nv, nv) * norm
+    lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh
+    return h, lh
 
 
 @pytest.fixture

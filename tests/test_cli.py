@@ -247,6 +247,65 @@ def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):
     assert np.abs(vals - exact).max() <= 1e-5
 
 
+class TestEmitTable:
+    NAMES = ("a%s", "{0}", "}b{", "100%", "é")
+    META = {"graph": "g.json", "method": "spectral", "t_max": 1.0, "steps": 3, "tol": 1e-8}
+
+    def emitted(self, tmp_path, times, names, values, fmt):
+        from heatpar.cli import _emit_table
+
+        out = tmp_path / f"table.{fmt}"
+        _emit_table(times, names, values, fmt, str(out), self.META)
+        return out.read_bytes()
+
+    def test_matches_row_by_row_reference(self, tmp_path):
+        import numpy as np
+
+        from conftest import reference_emit_table
+
+        rng = np.random.default_rng(7)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -42.0, 1e16, math.inf]
+        for n in (1, 2, 5):
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 6))])
+            values = rng.standard_normal((len(times), n, n)) * 10.0 ** rng.integers(
+                -320, 300, (len(times), n, n)
+            )
+            flat = values.reshape(-1)
+            flat[rng.choice(flat.size, min(flat.size, len(specials)), replace=False)] = (
+                specials[: min(flat.size, len(specials))]
+            )
+            names = self.NAMES[:n]
+            for fmt in ("csv", "json"):
+                ref = reference_emit_table(times, names, values, fmt, self.META)
+                got = self.emitted(tmp_path, times, names, values, fmt)
+                assert got == ref.encode("utf-8"), (n, fmt)
+
+    @pytest.mark.slow
+    def test_every_case_and_method_matches_reference(self, tmp_path):
+        from heatpar.cli import METHODS, compute_kernel
+        from heatpar.documents import load_document
+        from heatpar.errors import NumericalBudgetError
+
+        from conftest import reference_emit_table
+
+        emitted = 0
+        for name in sorted(os.listdir(CASES)):
+            doc = load_document(case(name))
+            for method in METHODS:
+                if method == "parametrix-embed":
+                    continue
+                try:
+                    times, names, values = compute_kernel(doc, method, 1.0, 200, 1e-8)
+                except (ValueError, NumericalBudgetError):
+                    continue  # a method the document does not support: exit 2 or 3
+                for fmt in ("csv", "json"):
+                    ref = reference_emit_table(times, names, values, fmt, self.META)
+                    got = self.emitted(tmp_path, times, names, values, fmt)
+                    assert got == ref.encode("utf-8"), (name, method, fmt)
+                emitted += 1
+        assert emitted >= 15
+
+
 class TestVerifyCommand:
     def test_oracles_agree(self, tmp_path):
         out = tmp_path / "rep.json"

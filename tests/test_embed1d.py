@@ -1,11 +1,16 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatpar.documents import load_document
 from heatpar.embed1d import (
+    _EXP_UNDERFLOW,
     IntervalDomain,
     _cell_quadrature,
+    _mode_overlaps,
     averaged_parametrix,
     build_bumps,
     build_voronoi,
@@ -18,6 +23,10 @@ from heatpar.errors import ContractViolation, ResolutionError
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import compare_kernels, spectral_kernel
 from heatpar.series import TimeGrid, sample_closed_form
+
+from conftest import full_mode_parametrix
+
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 # exact overshoot amplitude for the calibrated quintic band, from the
 # closed-form quadratic (plateau + band moments integrated symbolically)
@@ -201,6 +210,60 @@ class TestAveragedParametrix:
             averaged_parametrix(
                 self.dom, self.cells, self.bumps, grid, WeightedGraph.path(4)
             )
+
+
+def interval_case():
+    """The `cases/path3_interval.json` setup that `heatpar kernel --method
+    parametrix-embed` builds: graph, cells, bumps and domain."""
+    doc = load_document(os.path.join(CASES, "path3_interval.json"))
+    cells = build_voronoi(doc.position_list(), 1.0, 0.49)
+    n_modes = modes_for_time(1.0, 1e-4 / math.pi**2, 1e-10)
+    return doc.graph, cells, build_bumps(cells), IntervalDomain(1.0, n_modes, 1600)
+
+
+class TestSineSeries:
+    @pytest.mark.parametrize("n_modes", [1, 31, 32, 33, 510])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    def test_overlaps_match_direct_sines(self, n_modes, length):
+        cells = build_voronoi([0.17 * length, 0.5 * length, 0.83 * length], length, 0.49)
+        bumps = build_bumps(cells)
+        dom = IntervalDomain(length=length, n_modes=n_modes)
+        freqs = np.arange(1, n_modes + 1) * math.pi / length
+        for quad_points in (1600, 3200):
+            s = _mode_overlaps(dom, cells, bumps, quad_points)
+            ref = np.empty_like(s)
+            for v, cell in enumerate(cells):
+                xs, ws = _cell_quadrature(cell, quad_points)
+                ref[:, v] = np.sin(np.outer(freqs, xs)) @ (ws * bumps.evaluate(v, xs))
+            assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_underflow_cut_is_exact(self):
+        # every skipped mode has rate·t >= the cut, where e^{−rate·t} is 0.0
+        assert np.exp(-_EXP_UNDERFLOW) == 0.0
+        assert not np.exp(-np.full(37, _EXP_UNDERFLOW)).any()
+
+    def test_mode_sums_match_full_mode_reference(self):
+        g, cells, bumps, dom = interval_case()
+        grid = TimeGrid(0.25, 8192)
+        p = averaged_parametrix(dom, cells, bumps, grid, g)
+        h, lh = full_mode_parametrix(dom, cells, bumps, grid, g)
+        assert np.all(np.abs(p.samples.values - h) <= 1e-12 * np.maximum(1.0, np.abs(h)))
+        assert np.all(np.abs(p.heat_image.values - lh) <= 1e-12 * np.maximum(1.0, np.abs(lh)))
+        # a block's cut comes from its smallest time, whatever the order
+        rev = p.kernel.sample(grid.nodes[::-1])[::-1]
+        assert np.all(np.abs(rev - h) <= 1e-12 * np.maximum(1.0, np.abs(h)))
+
+    def test_peak_memory_has_no_times_by_modes_array(self):
+        # all 510 modes at all 16385 times would be 67 MB for one exponential array
+        g, cells, bumps, dom = interval_case()
+        grid = TimeGrid(0.25, 16384)
+        tracemalloc.start()
+        try:
+            averaged_parametrix(dom, cells, bumps, grid, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 @pytest.mark.slow

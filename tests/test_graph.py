@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,11 @@ from heatpar.graph import (
     boundary_sets,
 )
 
-from conftest import random_graph
+from heatpar.documents import load_document, parse_document
+
+from conftest import lattice_hole_document, random_graph, recursive_boundary_sets
+
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 
 def k5_minus_edge():
@@ -176,3 +183,36 @@ class TestEmbedding:
         g = random_graph(rng)
         e = SubgraphEmbedding.trivial(g)
         assert all(adjacency_complement(e, v) == set() for v in range(g.n))
+
+
+class TestBoundarySetsAgainstRecursion:
+    def test_case_documents(self):
+        checked = 0
+        for name in sorted(os.listdir(CASES)):
+            e = load_document(os.path.join(CASES, name)).embedding
+            if e is not None:
+                assert boundary_sets(e) == recursive_boundary_sets(e), name
+                checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lattices_with_a_hole(self, seed):
+        e = parse_document(json.dumps(lattice_hole_document(seed))).embedding
+        assert boundary_sets(e) == recursive_boundary_sets(e)
+        assert len(boundary_sets(e)[2]) > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_removed_edges_inside_the_kept_set(self, seed):
+        # random ambient graph, a random kept set and random kept-kept edges
+        # removed, so ∂G mixes both ways of losing an edge
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n_max=14, p_range=(0.3, 0.6))
+        kept = [v for v in range(g.n) if rng.uniform() < 0.8] or [0]
+        inside = [
+            frozenset((u, v))
+            for u in kept
+            for v in kept
+            if u < v and g.weights[u, v] > 0 and rng.uniform() < 0.3
+        ]
+        e = SubgraphEmbedding(ambient=g, kept=tuple(kept), removed_edges=frozenset(inside))
+        assert boundary_sets(e) == recursive_boundary_sets(e)

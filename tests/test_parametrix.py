@@ -30,6 +30,7 @@ from heatpar.parametrix import (
     subgraph_kernel_closed_form,
 )
 from heatpar.series import (
+    ClosedFormKernel,
     KernelSeries,
     TimeGrid,
     convolve,
@@ -488,3 +489,17 @@ class TestAssembledKernels:
                     grid=grid,
                     support=(0,),
                 )
+
+    @pytest.mark.parametrize("row", [0, 2, 4, 6])
+    def test_support_validation_reads_every_gap(self, row):
+        # rows 1, 3 and 5 are the support; a nonzero in any other row,
+        # before, between or after them, is refused
+        grid = TimeGrid(1.0, 4)
+        kernel = ClosedFormKernel("zero", 7, lambda times: np.zeros((len(times), 7, 7)))
+        zeros = KernelSeries(grid, np.zeros((5, 7, 7)))
+        lh = np.zeros((5, 7, 7))
+        lh[:, [1, 3, 5]] = 1.0
+        Parametrix(kernel, zeros, KernelSeries(grid, lh), grid, support=(5, 1, 3))
+        lh[3, row, 2] = -1e-300
+        with pytest.raises(ContractViolation):
+            Parametrix(kernel, zeros, KernelSeries(grid, lh), grid, support=(5, 1, 3))

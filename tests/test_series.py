@@ -239,3 +239,14 @@ class TestSampling:
         )
         with pytest.raises(SamplingError):
             sample_closed_form(bad, TimeGrid(1.0, 4))
+
+    def test_sampling_error_names_the_first_bad_entry(self):
+        def sample(times):
+            vals = np.ones((len(times), 3, 3))
+            vals[times >= 0.5, 2, 1] = math.nan
+            vals[times >= 0.75, 0, 2] = -math.inf
+            return vals
+
+        bad = ClosedFormKernel(family="bad", n=3, sample=sample)
+        with pytest.raises(SamplingError, match=r"^bad kernel .* \(x=2, y=1, t=0\.5\)$"):
+            sample_closed_form(bad, TimeGrid(1.0, 4))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,37 +61,68 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(path: str | None, text: str):
+def _json_number(x: float) -> str:
+    return json.dumps(float(x))
+
+
+# values per block of a streamed kernel table: a table is formatted and
+# written a block of time nodes at a time, so its text is never held whole
+_TABLE_BLOCK = 1 << 16
+
+
+def _write_chunks(path: str | None, chunks):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
+
+
+def _write_text(path: str | None, text: str):
+    _write_chunks(path, (text,))
+
+
+def _table_chunks(times, names, values, fmt: str, meta: dict):
+    """The text of a kernel table, one block of time nodes at a time.
+
+    Each time node is formatted once and interleaved with its values by a
+    per-node template of one row per vertex pair, names escaped for %.  The
+    JSON text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
+    newline: ``rows`` sorts last, so the header is the document without
+    it, and numbers take float.__repr__ or json's non-finite spelling.
+    """
+    import numpy as np
+
+    if fmt == "csv":
+        row, sep, quote, stamp = "%s,{},{},%.17g\n", "", str, _fmt
+        yield "t,x,y,value\n"
+    else:
+        row, sep, quote = "\n  [\n   %s,\n   {},\n   {},\n   %s\n  ]", ",", json.dumps
+        stamp = _json_number
+        doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": []}
+        yield json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")]
+    esc = [quote(nm).replace("%", "%%") for nm in names]
+    template = sep.join(row.format(xn, yn) for xn in esc for yn in esc)
+    npairs = len(esc) ** 2
+    step = max(1, _TABLE_BLOCK // npairs)
+    args = [None] * (2 * npairs)
+    for j in range(0, len(times), step):
+        block = values[j : j + step].reshape(-1, npairs)
+        rows = block.tolist()
+        if sep and not np.isfinite(block).all():
+            rows = [[v if math.isfinite(v) else _json_number(v) for v in r] for r in rows]
+        texts = []
+        for t, r in zip(times[j : j + step], rows):
+            args[0::2] = [stamp(t)] * npairs
+            args[1::2] = r
+            texts.append(template % tuple(args))
+        yield (sep if j else "") + sep.join(texts)
+    if sep:
+        yield "\n ]\n}\n"
 
 
 def _emit_table(times, names, values, fmt: str, out: str | None, meta: dict):
-    pairs = [(xn, yn) for xn in names for yn in names]
-    rows = values.reshape(len(times), len(pairs)).tolist()
-    if fmt == "csv":
-        # one "%s,x,y,%.17g" line per vertex pair, names escaped for %;
-        # each time node is formatted once and interleaved with its values
-        esc = [(xn.replace("%", "%%"), yn.replace("%", "%%")) for xn, yn in pairs]
-        template = "".join(f"%s,{xn},{yn},%.17g\n" for xn, yn in esc)
-        args = [None] * (2 * len(pairs))
-        chunks = ["t,x,y,value\n"]
-        for t, row in zip(times, rows):
-            args[0::2] = [_fmt(t)] * len(pairs)
-            args[1::2] = row
-            chunks.append(template % tuple(args))
-        _write_text(out, "".join(chunks))
-    else:
-        table = [
-            [float(t), xn, yn, v]
-            for t, row in zip(times, rows)
-            for (xn, yn), v in zip(pairs, row)
-        ]
-        doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": table}
-        _write_text(out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_chunks(out, _table_chunks(times, names, values, fmt, meta))
 
 
 def _ambient_closed_form(doc):

@@ -309,7 +309,8 @@ def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> KernelSe
     h = p.samples.values
     supp = list(p.support) if p.support is not None else list(range(p.n))
     corr = convolve_values(h[:, :, supp], series.F.values[:, supp, :], p.grid.dt)
-    return KernelSeries(p.grid, h + corr)
+    corr += h  # in place: the correction is a new array, the samples stay as they are
+    return KernelSeries(p.grid, corr)
 
 
 def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> KernelSeries:
@@ -323,9 +324,10 @@ def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> KernelSeries:
 
 def complete_graph_kernel(n: int) -> ClosedFormKernel:
     """Heat kernel on the unit-weight complete graph:
-    1/N + (1 − 1/N) e^{−Nt} on the diagonal, 1/N − e^{−Nt}/N off it."""
-    if n < 2:
-        raise ContractViolation("complete graph needs at least 2 vertices")
+    1/N + (1 − 1/N) e^{−Nt} on the diagonal, 1/N − e^{−Nt}/N off it.
+    At N = 1 this is the constant 1 of the one-vertex graph."""
+    if n < 1:
+        raise ContractViolation("complete graph needs at least 1 vertex")
     diag = np.arange(n)
 
     def sample(times: np.ndarray) -> np.ndarray:

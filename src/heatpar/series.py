@@ -89,20 +89,35 @@ def next_fast_len(target: int) -> int:
     return min(p << (-(-target // p) - 1).bit_length() for p in odd)
 
 
+# complex entries in one block's spectrum product; a product never holds
+# more of its spectrum at once than this, however many rows it has
+_BLOCK_ENTRIES = 1 << 18
+
+
 def _series_product(a: np.ndarray, b: np.ndarray, m: int, halved: bool = False) -> np.ndarray:
     """First ``m`` coefficients of the matrix power-series product a(z)·b(z),
-    one batched matrix product over the FFT frequencies.
+    a batched matrix product over the FFT frequencies.
 
-    With ``halved`` both constant terms count half; a constant term adds
-    itself to every frequency, so halving it is a shift of the spectrum.
+    ``b`` is transformed once; the rows of ``a`` go through the transform,
+    the product and the inverse a block at a time, each block sized to
+    about ``_BLOCK_ENTRIES`` spectrum entries, and only the first ``m``
+    coefficients of each block are kept.  With ``halved`` both constant
+    terms count half; a constant term adds itself to every frequency, so
+    halving it is a shift of the spectrum.
     """
     nfft = next_fast_len(a.shape[0] + b.shape[0] - 1)
-    fa = np.fft.rfft(a, n=nfft, axis=0)
     fb = np.fft.rfft(b, n=nfft, axis=0)
     if halved:
-        fa -= 0.5 * a[0]
         fb -= 0.5 * b[0]
-    return np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
+    out = np.empty((m, a.shape[1], b.shape[2]))
+    rows = max(1, _BLOCK_ENTRIES // (fb.shape[0] * b.shape[2]))
+    for i in range(0, a.shape[1], rows):
+        blk = a[:, i : i + rows]
+        fa = np.fft.rfft(blk, n=nfft, axis=0)
+        if halved:
+            fa -= 0.5 * blk[0]
+        out[:, i : i + rows] = np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
+    return out
 
 
 def convolve_values(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:

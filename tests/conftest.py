@@ -10,6 +10,7 @@ from heatpar.embed1d import _mode_overlaps
 from heatpar.errors import ContractViolation, DomainError
 from heatpar.graph import SubgraphEmbedding, WeightedGraph, adjacency_complement
 from heatpar.series import fold_bound
+from heatpar.series import next_fast_len as smooth_fft_len
 
 
 def besseli_oracle(n: int, x: float) -> float:
@@ -149,6 +150,18 @@ def sequential_jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 
     lam = np.diag(m).copy()
     order = np.argsort(lam)
     return lam[order], v[:, order]
+
+
+def reference_series_product(a: np.ndarray, b: np.ndarray, m: int, halved: bool = False):
+    """Reference for ``series._series_product``: the whole spectrum product
+    in one batched matrix product, then the first ``m`` coefficients."""
+    nfft = smooth_fft_len(a.shape[0] + b.shape[0] - 1)
+    fa = np.fft.rfft(a, n=nfft, axis=0)
+    fb = np.fft.rfft(b, n=nfft, axis=0)
+    if halved:
+        fa -= 0.5 * a[0]
+        fb -= 0.5 * b[0]
+    return np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
 
 
 def naive_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:

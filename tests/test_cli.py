@@ -72,6 +72,17 @@ class TestKernelCommand:
         for line in out.read_text().strip().splitlines()[1:]:
             assert float(line.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_single_vertex_closed_form_complete_is_spectral(self, tmp_path):
+        # a one-vertex graph is the complete graph K1, whose kernel is 1
+        tables = []
+        for method in ("spectral", "closed-form-complete"):
+            out = tmp_path / f"{method}.csv"
+            args = ["kernel", "--graph", case("single_vertex.json"), "--method", method,
+                    "--t-max", "1", "--steps", "50", "--out", str(out)]
+            assert run_main(args) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_halfline_closed_form_rows(self, tmp_path):
         out = tmp_path / "hl.json"
         status = run_main(
@@ -279,6 +290,54 @@ class TestEmitTable:
                 ref = reference_emit_table(times, names, values, fmt, self.META)
                 got = self.emitted(tmp_path, times, names, values, fmt)
                 assert got == ref.encode("utf-8"), (n, fmt)
+
+    SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -42.0, 1e16, math.inf,
+                -math.inf, math.nan]
+
+    def long_table(self, rng, nodes, n):
+        import numpy as np
+
+        times = np.linspace(0.0, 3.0, nodes)
+        values = rng.standard_normal((nodes, n, n)) * 10.0 ** rng.integers(
+            -320, 300, (nodes, n, n)
+        )
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, len(self.SPECIALS), replace=False)] = self.SPECIALS
+        values[-1, -1, -1] = -math.inf  # a non-finite value in the last block
+        return times, values
+
+    @pytest.mark.parametrize(
+        "block, n", [(b, n) for b in (7, 100) for n in (1, 2, 5)] + [(None, 5)]
+    )
+    def test_tables_longer_than_one_block(self, tmp_path, monkeypatch, block, n):
+        import numpy as np
+
+        from heatpar import cli
+
+        from conftest import reference_emit_table
+
+        if block is not None:
+            monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+        step = max(1, cli._TABLE_BLOCK // n**2)  # time nodes per block
+        # at the module's own block size: two blocks and a ragged third
+        nodes = 1501 if block else 2 * step + 3
+        assert nodes > step
+        times, values = self.long_table(np.random.default_rng(n), nodes, n)
+        names = self.NAMES[:n]
+        for fmt in ("csv", "json"):
+            ref = reference_emit_table(times, names, values, fmt, self.META)
+            got = self.emitted(tmp_path, times, names, values, fmt)
+            assert got == ref.encode("utf-8"), (n, block, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_dash_writes_the_file_bytes_to_stdout(self, tmp_path, capsysbinary, fmt):
+        # 6001 nodes × 25 pairs: three blocks of time nodes, the last one ragged
+        out = tmp_path / f"k5.{fmt}"
+        args = ["kernel", "--graph", case("k5_minus_edge.json"), "--method", "spectral",
+                "--t-max", "1", "--steps", "6000", "--format", fmt]
+        assert run_main(args + ["--out", str(out)]) == 0
+        assert run_main(args + ["--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     @pytest.mark.slow
     def test_every_case_and_method_matches_reference(self, tmp_path):

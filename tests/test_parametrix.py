@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from heatpar.embed1d import (
     modes_for_time,
 )
 from heatpar.errors import ContractViolation, NonConvergenceError
-from heatpar.documents import parse_document
+from heatpar.documents import load_document, parse_document
 from heatpar.graph import SubgraphEmbedding, WeightedGraph, boundary_sets
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel
 from heatpar.parametrix import (
@@ -339,6 +341,12 @@ class TestCompleteGraphClosedForms:
         for t in (0.3, 1.7):
             assert np.abs(k.at(t).sum(axis=1) - 1.0).max() <= 1e-14
 
+    def test_one_vertex_is_the_constant_one(self):
+        k = complete_graph_kernel(1)
+        assert np.array_equal(k.sample(np.linspace(0.0, 5.0, 11)), np.ones((11, 1, 1)))
+        with pytest.raises(ContractViolation):
+            complete_graph_kernel(0)
+
     def test_n2_matches_hand_spectral(self):
         k = complete_graph_kernel(2)
         for t in (0.2, 1.0):
@@ -503,3 +511,37 @@ class TestAssembledKernels:
         lh[3, row, 2] = -1e-300
         with pytest.raises(ContractViolation):
             Parametrix(kernel, zeros, KernelSeries(grid, lh), grid, support=(5, 1, 3))
+
+
+class TestAssemblyMemory:
+    """``assemble_heat_kernel`` never holds a full-length spectrum: the
+    correction is computed a block of rows at a time and H is added in place."""
+
+    def assembly_peak(self, p):
+        series = neumann_series(p, 1e-8)
+        before = p.samples.values.copy()
+        tracemalloc.start()
+        try:
+            assemble_heat_kernel(p, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.samples.values, before)
+        return peak
+
+    def test_dirichlet_verify_setup(self):
+        # 2001 × 41 × 41 values are 27 MB; the one-shot spectrum was 54 MB
+        from heatpar.cli import _ambient_closed_form
+
+        cases = os.path.join(os.path.dirname(__file__), "..", "cases")
+        doc = load_document(os.path.join(cases, "halfline_w40.json"))
+        p = dirichlet_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(2.0, 2000))
+        assert self.assembly_peak(p) < 60e6
+
+    def test_lattice_with_hole(self):
+        from heatpar.cli import _ambient_closed_form
+
+        doc = parse_document(json.dumps(lattice_hole_document(seed=1)))
+        p = restriction_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(1.0, 250))
+        assert p.n == 77
+        assert self.assembly_peak(p) < 35e6

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatpar import series
 from heatpar.errors import ContractViolation, SamplingError
 from heatpar.parametrix import complete_graph_kernel
 from heatpar.series import (
@@ -18,7 +19,12 @@ from heatpar.series import (
     sample_closed_form,
 )
 
-from conftest import besseli_oracle, convolution_bound, naive_convolve
+from conftest import (
+    besseli_oracle,
+    convolution_bound,
+    naive_convolve,
+    reference_series_product,
+)
 
 
 def constant_series(grid, n, value=1.0):
@@ -110,6 +116,51 @@ class TestConvolve:
         grid = TimeGrid(1.0, 16)
         a = KernelSeries(grid, rng.normal(size=(17, 2, 2)))
         assert np.all(convolve(a, a).values[0] == 0.0)
+
+
+def row_blocks(ma: int, mb: int, p: int, r: int) -> tuple[int, int]:
+    """(number of row blocks, rows in the last block) that ``_series_product``
+    takes for operands of lengths ``ma``, ``mb`` with p rows and r columns."""
+    n_freq = next_fast_len(ma + mb - 1) // 2 + 1
+    rows = max(1, series._BLOCK_ENTRIES // (n_freq * r))
+    blocks = -(-p // rows)
+    return blocks, p - rows * (blocks - 1)
+
+
+class TestBlockedProduct:
+    # (ma, mb, m, p, q, r) and the (blocks, last block rows) they force
+    SHAPES = [
+        ((65, 65, 65, 3, 2, 4), (1, 3)),
+        ((64, 32, 64, 3, 3, 3), (1, 3)),  # a Newton step: shorter b
+        ((2001, 2001, 2001, 1, 4, 41), (1, 1)),
+        ((2001, 2001, 2001, 39, 2, 41), (13, 3)),
+        ((2001, 2001, 2001, 41, 3, 41), (14, 2)),
+        ((4001, 4001, 4001, 150, 2, 1), (3, 22)),
+        ((20001, 20001, 20001, 3, 2, 41), (3, 1)),
+    ]
+
+    @pytest.mark.parametrize("halved", [False, True])
+    @pytest.mark.parametrize("shape, blocks", SHAPES)
+    def test_matches_one_shot_reference(self, rng, shape, blocks, halved):
+        ma, mb, m, p, q, r = shape
+        assert row_blocks(ma, mb, p, r) == blocks
+        a = rng.normal(size=(ma, p, q))
+        b = rng.normal(size=(mb, q, r))
+        out = series._series_product(a, b, m, halved)
+        ref = reference_series_product(a, b, m, halved)
+        assert out.shape == ref.shape == (m, p, r)
+        # FFT roundoff scales with the largest coefficient, not each entry's own
+        assert np.abs(out - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("entries", [1, 40, 100, 1 << 18])
+    def test_small_blocks_match_direct_summation(self, rng, monkeypatch, entries):
+        monkeypatch.setattr(series, "_BLOCK_ENTRIES", entries)
+        grid = TimeGrid(1.0, 30)
+        for p, q, r in ((7, 3, 2), (1, 2, 5), (6, 4, 1)):
+            a = rng.normal(size=(31, p, q))
+            b = rng.normal(size=(31, q, r))
+            out = convolve_values(a, b, grid.dt)
+            assert np.abs(out - naive_convolve(a, b, grid.dt)).max() <= 1e-12
 
 
 class TestAssociativity:

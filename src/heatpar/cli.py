@@ -205,8 +205,8 @@ def _dispatch(doc, method: str, grid, tol: float):
         # series is itself the parametrix being corrected, so finer time
         # grids do not demand more modes
         probe = 1e-4 * length**2 / math.pi**2
-        n_modes = int(doc.interval.get("modes", modes_for_time(length, probe, 1e-10)))
-        quad_points = int(doc.interval.get("quad_points", 1600))
+        n_modes = doc.interval.get("modes", modes_for_time(length, probe, 1e-10))
+        quad_points = doc.interval.get("quad_points", 1600)
         delta_fraction = float(doc.interval.get("delta_fraction", 0.49))
         dom = IntervalDomain(length=length, n_modes=n_modes, quad_points=quad_points)
         cells = build_voronoi(doc.position_list(), length, delta_fraction)

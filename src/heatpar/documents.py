@@ -26,6 +26,7 @@ then ambient-only ones).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,12 @@ def _check(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or float, but not a bool, which Python counts
+    as an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_edges(raw, index: dict[str, int], what: str) -> list[tuple[int, int, float]]:
     _check(isinstance(raw, list), f"{what} must be a list")
     out = []
@@ -67,7 +74,7 @@ def _parse_edges(raw, index: dict[str, int], what: str) -> list[tuple[int, int, 
         _check(u in index, f"{what}[{k}]: unknown vertex {u!r}")
         _check(v in index, f"{what}[{k}]: unknown vertex {v!r}")
         _check(u != v, f"{what}[{k}]: self-loop at {u!r}")
-        _check(isinstance(w, (int, float)) and w > 0, f"{what}[{k}]: weight must be positive")
+        _check(_is_number(w) and w > 0, f"{what}[{k}]: weight must be a positive number")
         key = frozenset((index[u], index[v]))
         _check(key not in seen, f"{what}[{k}]: edge ({u!r},{v!r}) listed twice")
         seen.add(key)
@@ -151,7 +158,7 @@ def parse_document(text: str) -> GraphDocument:
         _check(isinstance(raw_pos, dict), "'positions' must be an object")
         for n, p in raw_pos.items():
             _check(n in names, f"positions: unknown vertex {n!r}")
-            _check(isinstance(p, (int, float)), f"positions[{n!r}] must be a number")
+            _check(_is_number(p), f"positions[{n!r}] must be a number")
             positions[n] = float(p)
         _check(
             set(positions) == set(names),
@@ -162,6 +169,14 @@ def parse_document(text: str) -> GraphDocument:
     _check(isinstance(interval, dict), "'interval' must be an object")
     unknown = set(interval) - {"length", "modes", "quad_points", "delta_fraction"}
     _check(not unknown, f"unknown interval keys: {sorted(unknown)}")
+    for key, x in interval.items():
+        if key in ("length", "delta_fraction"):
+            # finite, and an int too large for a float is refused as well
+            ok = _is_number(x) and abs(x) <= sys.float_info.max
+            _check(ok, f"interval '{key}' must be a finite number")
+        else:
+            ok = isinstance(x, int) and not isinstance(x, bool)
+            _check(ok, f"interval '{key}' must be an integer")
     if positions:
         length = float(interval.get("length", 1.0))
         order = sorted(range(len(names)), key=lambda i: positions[names[i]])

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, NumericalBudgetError, ResolutionError
 from .graph import WeightedGraph
 from .parametrix import Parametrix, assemble_heat_kernel, neumann_series
-from .series import ClosedFormKernel, KernelSeries, TimeGrid
+from .series import KernelSeries, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -271,26 +271,21 @@ def averaged_parametrix(
     # mode sums collapse to one matrix product per block of times.  The
     # rates increase, so in a block only the modes with rate·t_min below the
     # underflow cut have a nonzero exponential; the rest are skipped exactly.
+    # H and its termwise time derivative share one pass of exponentials.
     nv = graph.n
     pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
+    dpair = pair * (-rates[:, None])
     chunk = max(1, 131_072 // d.n_modes)
-
-    def mode_sums(times: np.ndarray, *coefs: np.ndarray) -> list[np.ndarray]:
-        outs = [np.empty((len(times), nv, nv)) for _ in coefs]
-        for j0 in range(0, len(times), chunk):
-            block = times[j0 : j0 + chunk]
-            live = int(np.searchsorted(rates * block.min(), _EXP_UNDERFLOW))
-            w = np.exp(-np.outer(block, rates[:live]))
-            for out, coef in zip(outs, coefs):
-                out[j0 : j0 + chunk] = (w @ coef[:live]).reshape(-1, nv, nv) * norm
-        return outs
-
-    kernel = ClosedFormKernel("sine-series", nv, lambda times: mode_sums(times, pair)[0])
-    # H and its termwise time derivative share one pass of exponentials;
-    # LH = ΔH + ∂_t H
-    h, dh = mode_sums(grid.nodes, pair, pair * (-rates[:, None]))
-    lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh
-    return Parametrix(kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, order=0)
+    times = grid.nodes
+    h, dh = np.empty((len(times), nv, nv)), np.empty((len(times), nv, nv))
+    for j0 in range(0, len(times), chunk):
+        block = times[j0 : j0 + chunk]
+        live = int(np.searchsorted(rates * block.min(), _EXP_UNDERFLOW))
+        w = np.exp(-np.outer(block, rates[:live]))
+        h[j0 : j0 + chunk] = (w @ pair[:live]).reshape(-1, nv, nv) * norm
+        dh[j0 : j0 + chunk] = (w @ dpair[:live]).reshape(-1, nv, nv) * norm
+    lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh  # LH = ΔH + ∂_t H
+    return Parametrix(grid, h, tuple(range(nv)), lh)
 
 
 def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> KernelSeries:
@@ -300,8 +295,8 @@ def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> KernelSeri
         raise ContractViolation("parametrix and graph sizes differ")
     series = neumann_series(p, tol)
     out = assemble_heat_kernel(p, series)
-    corr = out.values[1] - p.samples.values[1]
-    h_scale = float(np.abs(p.samples.values[1]).max())
+    corr = out.values[1] - p.samples[1]
+    h_scale = float(np.abs(p.samples[1]).max())
     limit = 4.0 * series.bound_constant * p.n * p.grid.dt * max(1.0, h_scale) + 1e-12
     if np.abs(corr).max() > limit:
         raise NumericalBudgetError(

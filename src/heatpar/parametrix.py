@@ -42,53 +42,48 @@ from .series import (
 
 @dataclass(frozen=True)
 class Parametrix:
-    """An approximate heat kernel, its grid samples and its exact heat image.
+    """An approximate heat kernel H and its exact heat image on a time grid.
 
-    ``kernel`` is the closed form, carrying the Dirac initial condition;
-    ``samples`` holds it at the grid nodes and ``heat_image`` holds
-    LH = (Δ + ∂_t)H there.  ``order`` is the integer k with |LH| = O(t^k)
-    near zero (all constructions here have k = 0).  When ``support`` is
-    set, ``heat_image`` vanishes off support × V in the first variable and
-    the series convolutions only sum over that set.
+    ``samples`` holds H at the grid nodes, shape (M+1, n, n), with the Dirac
+    initial condition at node 0.  LH = (Δ + ∂_t)H vanishes off ``support``
+    (increasing vertex indices) in the first variable, so ``heat_image``
+    holds only its rows there, shape (M+1, |support|, n); every construction
+    here has |LH| = O(1) near t = 0.
     """
 
-    kernel: ClosedFormKernel
-    samples: KernelSeries
-    heat_image: KernelSeries
     grid: TimeGrid
-    order: int = 0
-    support: tuple[int, ...] | None = None
+    samples: np.ndarray
+    support: tuple[int, ...]
+    heat_image: np.ndarray
 
     def __post_init__(self):
-        if self.heat_image.grid != self.grid or self.samples.grid != self.grid:
-            raise ContractViolation("samples or heat image do not match the parametrix grid")
-        n = self.heat_image.n
-        if self.kernel.n != n or self.samples.n != n:
+        m1, n = self.grid.steps + 1, self.samples.shape[-1]
+        supp = self.support
+        if self.samples.shape != (m1, n, n):
+            raise ContractViolation(f"samples have shape {self.samples.shape}, want {(m1, n, n)}")
+        if self.heat_image.shape != (m1, len(supp), n):
             raise ContractViolation(
-                f"kernel has {self.kernel.n} vertices, samples {self.samples.n}, heat image {n}"
+                f"heat image has shape {self.heat_image.shape}, want {(m1, len(supp), n)}"
             )
-        if self.support is not None:
-            supp = tuple(sorted(set(int(v) for v in self.support)))
-            if supp and (supp[0] < 0 or supp[-1] >= n):
-                raise ContractViolation("support vertices out of range")
-            # the support is sorted, so the rows off it are the gaps between
-            # consecutive support rows; each gap is checked as a view
-            lh = self.heat_image.values
-            gaps = zip((-1,) + supp, supp + (n,))
-            if any(lh[:, a + 1 : b].any() for a, b in gaps):
-                raise ContractViolation("heat image is not zero off the declared support")
-            object.__setattr__(self, "support", supp)
+        increasing = all(a < b for a, b in zip(supp, supp[1:]))
+        if not increasing or (supp and (supp[0] < 0 or supp[-1] >= n)):
+            raise ContractViolation(f"support must be increasing vertex indices below {n}")
+        if not (np.isfinite(self.samples).all() and np.isfinite(self.heat_image).all()):
+            raise ContractViolation("samples or heat image contain non-finite entries")
 
     @property
     def n(self) -> int:
-        return self.heat_image.n
+        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
 class NeumannSeriesResult:
-    """Correction series F with its bound certificate and discrete residual."""
+    """Correction series F on the support rows, shape (M+1, |support|, n),
+    with its bound certificate and discrete residual; F vanishes off them."""
 
-    F: KernelSeries
+    F: np.ndarray
+    grid: TimeGrid
+    support: tuple[int, ...]
     terms_used: int
     certified_tail: float
     bound_constant: float
@@ -102,26 +97,11 @@ def diagonal_parametrix(g: WeightedGraph, grid: TimeGrid) -> Parametrix:
     diagonal, so no differentiation is ever needed.
     """
     diag = np.arange(g.n)
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        vals = np.zeros((len(times), g.n, g.n))
-        vals[:, diag, diag] = np.exp(-np.outer(times, g.mu))
-        return vals
-
-    kernel = ClosedFormKernel("diagonal-exponential", g.n, sample)
-    h = sample_closed_form(kernel, grid)
-    decay = h.values[:, diag, diag]  # (M+1, n) of e^{−μ(y)t}
-    vals = -decay[:, None, :] * g.weights[None, :, :]
-    return Parametrix(kernel, h, KernelSeries(grid, vals), grid, order=0)
-
-
-def _restricted_sample(ambient_kernel: ClosedFormKernel, kept: np.ndarray, zero_rows=()):
-    def sample(times: np.ndarray) -> np.ndarray:
-        vals = ambient_kernel.sample(times)[:, kept[:, None], kept[None, :]]
-        vals[:, zero_rows] = 0.0
-        return vals
-
-    return sample
+    decay = np.exp(-np.outer(grid.nodes, g.mu))  # (M+1, n) of e^{−μ(y)t}
+    h = np.zeros((grid.steps + 1, g.n, g.n))
+    h[:, diag, diag] = decay
+    lh = -decay[:, None, :] * g.weights[None, :, :]
+    return Parametrix(grid, h, tuple(range(g.n)), lh)
 
 
 def restriction_parametrix(
@@ -151,15 +131,8 @@ def restriction_parametrix(
         coupling[i, v1] = -coupling[i].sum()
     amb = sample_closed_form(ambient_kernel, grid).values
     h = amb[:, kept[:, None], kept[None, :]]
-    lh = np.zeros_like(h)
-    support = np.array([e.subgraph_index(v) for v in boundary], dtype=int)
-    lh[:, support, :] = (coupling @ amb)[:, :, kept]
-    kernel = ClosedFormKernel(
-        f"restricted-{ambient_kernel.family}", e.n, _restricted_sample(ambient_kernel, kept)
-    )
-    return Parametrix(
-        kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, support=tuple(support)
-    )
+    support = tuple(e.subgraph_index(v) for v in boundary)
+    return Parametrix(grid, h, support, (coupling @ amb)[:, :, kept])
 
 
 def dirichlet_parametrix(
@@ -189,14 +162,9 @@ def dirichlet_parametrix(
     coupling[np.ix_(second, boundary)] = w[np.ix_(second, boundary)]
     support = np.union1d(boundary, second)
     h = sample_closed_form(ambient_kernel, grid).values[:, kept[:, None], kept[None, :]]
-    lh = np.zeros_like(h)
-    lh[:, support, :] = coupling[support, :] @ h
+    lh = coupling[support] @ h  # before the boundary rows of h are zeroed
     h[:, boundary, :] = 0.0
-    sample = _restricted_sample(ambient_kernel, kept, boundary)
-    kernel = ClosedFormKernel(f"dirichlet-{ambient_kernel.family}", e.n, sample)
-    return Parametrix(
-        kernel, KernelSeries(grid, h), KernelSeries(grid, lh), grid, support=tuple(support)
-    )
+    return Parametrix(grid, h, tuple(support.tolist()), lh)
 
 
 _COARSE_GRID = (
@@ -239,7 +207,8 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
 
     Rows of F vanish off the support S, so the inverse is taken on the S×S
     block only (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
-    1985) and one more product F_S = −L_S − conv(F_SS, L_S) gives the rest.
+    1985) and one more product F_S = −L_S − conv(F_SS, L_S) gives the
+    support rows, which are all of F that is returned.
     ``residual`` is the sup of F + LH + conv(F, LH) on that block.
 
     ``tol`` does not change F; it only sizes the factorial bound.
@@ -250,31 +219,29 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     """
     if tol <= 0:
         raise ContractViolation("tolerance must be positive")
-    lh = p.heat_image.values
-    m1, n = lh.shape[0], lh.shape[1]
+    lh_s = p.heat_image
+    m1 = lh_s.shape[0]
     dt = p.grid.dt
     t_max = p.grid.t_max
-    supp = list(p.support) if p.support is not None else list(range(n))
+    supp = list(p.support)
     n_eff = max(1, len(supp))
-    c_emp = 1.1 * float(np.abs(lh).max())
-    k = p.order
+    c_emp = 1.1 * float(np.abs(lh_s).max(initial=0.0))
 
     terms_used = 1
-    while c_emp > 0.0 and fold_bound(c_emp, k, terms_used + 1, n_eff, t_max) >= tol:
+    while c_emp > 0.0 and fold_bound(c_emp, 0, terms_used + 1, n_eff, t_max) >= tol:
         terms_used += 1
         if terms_used > 10_000_000:
             raise NonConvergenceError("term bound never meets the tolerance")
     tail = 0.0
     for ell in range(terms_used + 1, terms_used + 500):
-        b = fold_bound(c_emp, k, ell, n_eff, t_max)
+        b = fold_bound(c_emp, 0, ell, n_eff, t_max)
         tail += b
         if b == 0.0 or b <= 1e-16 * tail:
             break
 
-    F = np.zeros((m1, n, n))
+    f_s = np.zeros(lh_s.shape)
     residual = 0.0
     if c_emp > 0.0:
-        lh_s = lh[:, supp, :]
         l_ss = lh_s[:, :, supp]
         l_prime = l_ss.copy()
         l_prime[0] *= 0.5
@@ -292,9 +259,10 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
                 raise NonConvergenceError(_COARSE_GRID)
             f_blk = f_s[:, :, supp]
             residual = float(np.abs(f_blk + l_ss + convolve_values(f_blk, l_ss, dt)).max())
-        F[:, supp, :] = f_s
     return NeumannSeriesResult(
-        F=KernelSeries(p.grid, F),
+        F=f_s,
+        grid=p.grid,
+        support=p.support,
         terms_used=terms_used,
         certified_tail=tail,
         bound_constant=c_emp,
@@ -304,11 +272,10 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
 
 def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> KernelSeries:
     """H_G = H + H * F, with the convolution restricted to the support of F."""
-    if series.F.grid != p.grid:
-        raise ContractViolation("series grid does not match parametrix grid")
-    h = p.samples.values
-    supp = list(p.support) if p.support is not None else list(range(p.n))
-    corr = convolve_values(h[:, :, supp], series.F.values[:, supp, :], p.grid.dt)
+    if (series.grid, series.support) != (p.grid, p.support):
+        raise ContractViolation("series grid or support does not match the parametrix")
+    h = p.samples
+    corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt)
     corr += h  # in place: the correction is a new array, the samples stay as they are
     return KernelSeries(p.grid, corr)
 

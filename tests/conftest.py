@@ -181,13 +181,12 @@ def term_by_term_series(p, tol: float, max_terms: int = 10000):
     """Reference for ``neumann_series``: sum F = Σ (−1)^ℓ (LH)^{*ℓ} one FFT
     convolution at a time until the factorial bound for the next term, with
     1.1·sup|LH| as the constant, drops below ``tol``, or a term falls below
-    1e-9·tol everywhere.  Returns the F values."""
-    lh = p.heat_image.values
-    m1, n = lh.shape[0], lh.shape[1]
-    supp = list(p.support) if p.support is not None else list(range(n))
+    1e-9·tol everywhere.  Returns the rows of F on the support."""
+    lh_s = p.heat_image
+    m1 = lh_s.shape[0]
+    supp = list(p.support)
     n_eff = max(1, len(supp))
-    c_emp = 1.1 * float(np.abs(lh).max())
-    lh_s = lh[:, supp, :]
+    c_emp = 1.1 * float(np.abs(lh_s).max(initial=0.0))
     term = lh_s.copy()
     f_s = -term
     terms_used = 1
@@ -196,7 +195,7 @@ def term_by_term_series(p, tol: float, max_terms: int = 10000):
     b0 = lh_s[0]
     sign = -1.0
     while c_emp > 0.0:
-        if fold_bound(c_emp, p.order, terms_used + 1, n_eff, p.grid.t_max) < tol:
+        if fold_bound(c_emp, 0, terms_used + 1, n_eff, p.grid.t_max) < tol:
             break
         if terms_used >= max_terms:
             raise RuntimeError(f"reference series still above tol after {max_terms} terms")
@@ -218,9 +217,15 @@ def term_by_term_series(p, tol: float, max_terms: int = 10000):
             raise RuntimeError("reference series terms overflowed")
         if peak < max(1e-250, 1e-9 * tol):
             break
-    F = np.zeros((m1, n, n))
-    F[:, supp, :] = f_s
-    return F
+    return f_s
+
+
+def full_rows(p, rows):
+    """The (M+1, n, n) array whose rows on ``p.support`` are ``rows`` (the
+    support rows of a heat image or correction series) and zero elsewhere."""
+    full = np.zeros((p.grid.steps + 1, p.n, p.n))
+    full[:, list(p.support), :] = rows
+    return full
 
 
 def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:

@@ -4,6 +4,7 @@
 end-to-end runs of the verify workloads replace ``cli.compute_kernel`` to
 keep the kernels they check.  A renamed layer or a changed signature would
 make every traced operation crash, so these checks keep the two in step.
+The tracer also reads ``terms_used`` from every ``neumann_series`` result.
 """
 
 import importlib
@@ -33,6 +34,16 @@ def test_every_traced_layer_resolves():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{mod_name}.{attr}"
+
+
+def test_series_result_carries_an_int_term_count():
+    from heatpar.graph import WeightedGraph
+    from heatpar.parametrix import diagonal_parametrix, neumann_series
+    from heatpar.series import TimeGrid
+
+    result = neumann_series(diagonal_parametrix(WeightedGraph.path(3), TimeGrid(1.0, 8)), 1e-8)
+    assert isinstance(result.terms_used, int)
+    assert result.terms_used >= 1
 
 
 def test_compute_kernel_signature():

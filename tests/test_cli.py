@@ -165,6 +165,28 @@ class TestKernelCommand:
         assert status == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("modes", True), ("modes", 520.9), ("quad_points", True),
+                      ("length", True), ("delta_fraction", float("inf"))]
+    )
+    def test_bad_interval_setting_exits_2(self, tmp_path, capsys, key, value):
+        with open(case("path3_interval.json"), encoding="utf-8") as f:
+            doc = json.load(f)
+        doc.setdefault("interval", {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status = run_main(
+            ["kernel", "--graph", str(bad), "--method", "parametrix-embed", "--steps", "4"]
+        )
+        assert status == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_boolean_weight_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", True]]}))
+        assert run_main(["export", "--graph", str(bad)]) == 2
+        assert "edges[0]: weight" in capsys.readouterr().err
+
     def test_method_requires_embedding(self, capsys):
         status = run_main(
             [

@@ -90,6 +90,45 @@ class TestParsing:
         with pytest.raises(ParseError, match="inside"):
             parse_document(json.dumps(data))
 
+    @pytest.mark.parametrize("block", ["edges", "ambient.edges"])
+    @pytest.mark.parametrize("weight", [True, "1.0", None])
+    def test_edge_weight_must_be_a_number(self, block, weight):
+        # a JSON boolean is a Python int, but not a weight
+        edges = [["a", "b", weight]]
+        data = {"vertices": ["a", "b"], "edges": edges}
+        if block == "ambient.edges":
+            data = {"vertices": ["a", "b"], "ambient": {"edges": edges}}
+        with pytest.raises(ParseError, match=rf"{block}\[0\]: weight"):
+            parse_document(json.dumps(data))
+
+    @pytest.mark.parametrize("position", [True, False, "0.5"])
+    def test_position_must_be_a_number(self, position):
+        data = json.loads(PLAIN)
+        data["positions"] = {"a": 0.2, "b": position, "c": 0.8}
+        with pytest.raises(ParseError, match=r"positions\['b'\]"):
+            parse_document(json.dumps(data))
+
+    @pytest.mark.parametrize("key", ["length", "delta_fraction"])
+    @pytest.mark.parametrize("value", [True, "1.0", float("nan"), float("inf"), 10**400])
+    def test_interval_reals_must_be_finite_numbers(self, key, value):
+        data = json.loads(PLAIN)
+        data["interval"] = {key: value}
+        with pytest.raises(ParseError, match=f"interval '{key}' must be a finite number"):
+            parse_document(json.dumps(data))
+
+    @pytest.mark.parametrize("key", ["modes", "quad_points"])
+    @pytest.mark.parametrize("value", [True, 520.9, 520.0, "520"])
+    def test_interval_counts_must_be_integers(self, key, value):
+        data = json.loads(PLAIN)
+        data["interval"] = {key: value}
+        with pytest.raises(ParseError, match=f"interval '{key}' must be an integer"):
+            parse_document(json.dumps(data))
+
+    def test_good_interval_settings(self):
+        data = json.loads(PLAIN)
+        data["interval"] = {"length": 2, "delta_fraction": 0.4, "modes": 64, "quad_points": 400}
+        assert parse_document(json.dumps(data)).interval == data["interval"]
+
     def test_good_positions(self):
         data = json.loads(PLAIN)
         data["positions"] = {"a": 0.2, "b": 0.5, "c": 0.8}

@@ -32,7 +32,6 @@ from heatpar.parametrix import (
     subgraph_kernel_closed_form,
 )
 from heatpar.series import (
-    ClosedFormKernel,
     KernelSeries,
     TimeGrid,
     convolve,
@@ -40,7 +39,7 @@ from heatpar.series import (
     sample_closed_form,
 )
 
-from conftest import lattice_hole_document, random_graph, term_by_term_series
+from conftest import full_rows, lattice_hole_document, random_graph, term_by_term_series
 
 
 def k5_minus_edge():
@@ -74,21 +73,21 @@ class TestDiagonalParametrix:
         g = WeightedGraph(np.zeros((1, 1)))
         grid = TimeGrid(1.0, 8)
         p = diagonal_parametrix(g, grid)
-        assert np.all(p.samples.values == 1.0)
-        assert np.all(p.heat_image.values == 0.0)
+        assert np.all(p.samples == 1.0)
+        assert np.all(p.heat_image == 0.0)
 
     def test_k2_heat_image(self):
         g = WeightedGraph.path(2)
         grid = TimeGrid(1.0, 10)
         p = diagonal_parametrix(g, grid)
         for j, t in enumerate(grid.nodes):
-            assert p.heat_image.values[j, 0, 1] == pytest.approx(-math.exp(-t), abs=1e-14)
-            assert p.heat_image.values[j, 0, 0] == 0.0
+            assert p.heat_image[j, 0, 1] == pytest.approx(-math.exp(-t), abs=1e-14)
+            assert p.heat_image[j, 0, 0] == 0.0
 
     def test_dirac_exact(self, rng):
         g = random_graph(rng)
         p = diagonal_parametrix(g, TimeGrid(1.0, 4))
-        assert np.array_equal(p.samples.values[0], np.eye(g.n))
+        assert np.array_equal(p.samples[0], np.eye(g.n))
 
     def test_pipeline_on_random_graph(self, rng):
         g = random_graph(rng, n_max=6)
@@ -104,18 +103,18 @@ class TestRestrictionParametrix:
         e = SubgraphEmbedding.trivial(g)
         grid = TimeGrid(1.0, 50)
         p = restriction_parametrix(e, complete_graph_kernel(4), grid)
-        assert np.all(p.heat_image.values == 0.0)
+        assert p.support == () and p.heat_image.shape == (51, 0, 4)
         res = neumann_series(p, 1e-10)
         assert res.terms_used == 1
-        assert np.all(res.F.values == 0.0)
+        assert res.F.shape == (51, 0, 4)
         hg = assemble_heat_kernel(p, res)
-        assert np.array_equal(hg.values, p.samples.values)
+        assert np.array_equal(hg.values, p.samples)
 
     def test_k5_heat_image_closed_form(self):
         e = k5_minus_edge()
         grid = TimeGrid(1.0, 16)
         p = restriction_parametrix(e, complete_graph_kernel(5), grid)
-        lh = p.heat_image.values
+        lh = full_rows(p, p.heat_image)
         n = 5
         for j, t in enumerate(grid.nodes):
             u = math.exp(-n * t)
@@ -131,7 +130,7 @@ class TestRestrictionParametrix:
         offsets = np.arange(-1, w + 1)
         grid = TimeGrid(1.5, 8)
         p = restriction_parametrix(e, z_window_kernel(offsets), grid)
-        lh = p.heat_image.values
+        lh = full_rows(p, p.heat_image)
         for j, t in enumerate(grid.nodes):
             x = 2.0 * t
             row = besseli_row(w + 2, x)
@@ -154,7 +153,7 @@ class TestDirichletParametrix:
         e = halfline_window(w)
         grid = TimeGrid(1.0, 6)
         p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
-        lh = p.heat_image.values
+        lh = full_rows(p, p.heat_image)
         for j, t in enumerate(grid.nodes):
             x = 2.0 * t
             row = besseli_row(w + 2, x)
@@ -172,11 +171,11 @@ class TestDirichletParametrix:
         grid = TimeGrid(1.0, 6)
         p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
         samples = p.samples
-        assert np.all(samples.values[:, 0, :] == 0.0)
+        assert np.all(samples[:, 0, :] == 0.0)
         # identity restricted to the interior at t = 0
         expected = np.eye(w + 1)
         expected[0, 0] = 0.0
-        assert np.abs(samples.values[0] - expected).max() <= 1e-12
+        assert np.abs(samples[0] - expected).max() <= 1e-12
 
     def test_neumann_F_vanishes_at_origin_pair(self):
         # the boundary-to-boundary series entry is identically zero in exact
@@ -187,7 +186,7 @@ class TestDirichletParametrix:
         def f00(steps):
             grid = TimeGrid(1.0, steps)
             p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
-            return np.abs(neumann_series(p, 1e-10).F.values[:, 0, 0]).max()
+            return np.abs(full_rows(p, neumann_series(p, 1e-10).F)[:, 0, 0]).max()
 
         coarse, fine = f00(400), f00(800)
         assert coarse <= 1e-6
@@ -222,10 +221,9 @@ class TestHeatImageIdentity:
         grid = TimeGrid(1.0, 16)
         p = restriction_parametrix(e, make_kernel(e), grid)
         h, dt_h, scale = self.ambient_terms(e, make_kernel(e), grid)
-        assert np.array_equal(p.samples.values, h)
+        assert np.array_equal(p.samples, h)
         expected = e.subgraph.laplacian_matrix() @ h + dt_h
-        assert np.abs(p.heat_image.values - expected).max() <= 1e-12 * scale
-        assert np.abs(p.kernel.at(grid.nodes[5]) - h[5]).max() <= 1e-12 * scale
+        assert np.abs(full_rows(p, p.heat_image) - expected).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("make_e,make_kernel", CASES)
     def test_dirichlet(self, make_e, make_kernel):
@@ -236,10 +234,9 @@ class TestHeatImageIdentity:
         rows = [e.subgraph_index(v) for v in boundary_sets(e)[0]]
         h[:, rows, :] = 0.0
         dt_h[:, rows, :] = 0.0  # the boundary rows of H stay zero
-        assert np.array_equal(p.samples.values, h)
+        assert np.array_equal(p.samples, h)
         expected = e.subgraph.laplacian_matrix() @ h + dt_h
-        assert np.abs(p.heat_image.values - expected).max() <= 1e-12 * scale
-        assert np.abs(p.kernel.at(grid.nodes[5]) - h[5]).max() <= 1e-12 * scale
+        assert np.abs(full_rows(p, p.heat_image) - expected).max() <= 1e-12 * scale
 
 
 class TestNeumannSeries:
@@ -262,14 +259,15 @@ class TestNeumannSeries:
         res = neumann_series(p, 1e-8)
         ref = term_by_term_series(p, 1e-15)
         scale = max(1.0, float(np.abs(ref).max()))
-        assert np.abs(res.F.values - ref).max() <= 1e-12 * scale
+        assert np.abs(res.F - ref).max() <= 1e-12 * scale
         # F solves the discrete equation F + LH + conv(F, LH) = 0, and
         # ``residual`` is its sup on the support block
-        residual = res.F.values + p.heat_image.values + convolve(res.F, p.heat_image).values
+        f, lh = full_rows(p, res.F), full_rows(p, p.heat_image)
+        residual = f + lh + convolve_values(f, lh, p.grid.dt)
         assert np.abs(residual).max() <= 1e-12 * scale
-        supp = list(p.support) if p.support is not None else list(range(p.n))
-        f_blk = res.F.values[:, supp][:, :, supp]
-        l_blk = p.heat_image.values[:, supp][:, :, supp]
+        supp = list(p.support)
+        f_blk = res.F[:, :, supp]
+        l_blk = p.heat_image[:, :, supp]
         block = f_blk + l_blk + convolve_values(f_blk, l_blk, p.grid.dt)
         assert res.residual == np.abs(block).max()
 
@@ -277,7 +275,7 @@ class TestNeumannSeries:
         g = random_graph(rng, n_max=5)
         p = diagonal_parametrix(g, TimeGrid(1.0, 200))
         loose, tight = neumann_series(p, 1e-4), neumann_series(p, 1e-10)
-        assert np.array_equal(loose.F.values, tight.F.values)
+        assert np.array_equal(loose.F, tight.F)
         assert loose.residual == tight.residual
 
     def test_coarse_grid_refused(self):
@@ -290,7 +288,7 @@ class TestNeumannSeries:
         res = neumann_series(p, 1e-8)
         assert res.terms_used == 1
         assert res.certified_tail == 0.0
-        assert np.all(res.F.values == 0.0)
+        assert np.all(res.F == 0.0)
 
     def test_tolerance_controls_terms(self, rng):
         g = random_graph(rng, n_max=5)
@@ -317,7 +315,7 @@ class TestNeumannSeries:
         grid = TimeGrid(1.0, 2000)
         p = restriction_parametrix(e, complete_graph_kernel(n), grid)
         h = sample_closed_form(complete_graph_kernel(n), grid)
-        lh = p.heat_image
+        lh = KernelSeries(grid, full_rows(p, p.heat_image))
         b = b_matrix(e)
         term = h
         for ell in (1, 2, 3):
@@ -452,7 +450,7 @@ class TestAssembledKernels:
         p = diagonal_parametrix(g, grid)
         res = neumann_series(p, 1e-9)
         hg = assemble_heat_kernel(p, res)
-        corr = hg.values - p.samples.values
+        corr = hg.values - p.samples
         cap = 2.0 * res.bound_constant * g.n
         for j in range(1, 33):
             ratio = np.abs(corr[j]).max() / grid.nodes[j]
@@ -484,64 +482,112 @@ class TestAssembledKernels:
         hd_ref = (vv * np.exp(-lam * t)) @ vv.T
         assert np.abs(v[400, :7, :7] - hd_ref).max() <= 1e-5
 
-    def test_parametrix_support_validation(self, rng):
-        g = random_graph(rng, n_max=4)
-        grid = TimeGrid(1.0, 8)
-        p = diagonal_parametrix(g, grid)
-        if np.any(p.heat_image.values != 0.0):
-            with pytest.raises(ContractViolation):
-                Parametrix(
-                    kernel=p.kernel,
-                    samples=p.samples,
-                    heat_image=p.heat_image,
-                    grid=grid,
-                    support=(0,),
-                )
 
-    @pytest.mark.parametrize("row", [0, 2, 4, 6])
-    def test_support_validation_reads_every_gap(self, row):
-        # rows 1, 3 and 5 are the support; a nonzero in any other row,
-        # before, between or after them, is refused
-        grid = TimeGrid(1.0, 4)
-        kernel = ClosedFormKernel("zero", 7, lambda times: np.zeros((len(times), 7, 7)))
-        zeros = KernelSeries(grid, np.zeros((5, 7, 7)))
-        lh = np.zeros((5, 7, 7))
-        lh[:, [1, 3, 5]] = 1.0
-        Parametrix(kernel, zeros, KernelSeries(grid, lh), grid, support=(5, 1, 3))
-        lh[3, row, 2] = -1e-300
-        with pytest.raises(ContractViolation):
-            Parametrix(kernel, zeros, KernelSeries(grid, lh), grid, support=(5, 1, 3))
+class TestParametrixContract:
+    """A parametrix checks its arrays against the grid and its support, and
+    assembly refuses the series of a parametrix on another grid or support."""
+
+    @staticmethod
+    def parts():
+        # rows 1, 3 and 5 of a 7-vertex heat image on a 4-step grid
+        return TimeGrid(1.0, 4), np.zeros((5, 7, 7)), (1, 3, 5), np.full((5, 3, 7), 0.5)
+
+    def test_valid_parts(self):
+        p = Parametrix(*self.parts())
+        assert p.n == 7
+        assert p.support == (1, 3, 5)
+
+    @pytest.mark.parametrize("support", [(3, 1, 5), (1, 3, 3), (-1, 3, 5), (1, 3, 7)])
+    def test_support_increasing_and_in_range(self, support):
+        grid, h, _, lh = self.parts()
+        with pytest.raises(ContractViolation, match="support"):
+            Parametrix(grid, h, support, lh)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_heat_image_rows_match_support(self, rows):
+        grid, h, supp, _ = self.parts()
+        with pytest.raises(ContractViolation, match="heat image"):
+            Parametrix(grid, h, supp, np.zeros((5, rows, 7)))
+
+    @pytest.mark.parametrize("which", ["samples", "heat_image"])
+    @pytest.mark.parametrize("nodes", [4, 6])
+    def test_time_axis_matches_grid(self, which, nodes):
+        parts = dict(zip(("grid", "samples", "support", "heat_image"), self.parts()))
+        parts[which] = np.zeros((nodes,) + parts[which].shape[1:])
+        with pytest.raises(ContractViolation, match="shape"):
+            Parametrix(**parts)
+
+    @pytest.mark.parametrize("which", ["samples", "heat_image"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, which, bad):
+        parts = dict(zip(("grid", "samples", "support", "heat_image"), self.parts()))
+        parts[which][3, 2, 4] = bad
+        with pytest.raises(ContractViolation, match="non-finite"):
+            Parametrix(**parts)
+
+    @pytest.mark.parametrize(
+        "grid,support",
+        [(TimeGrid(1.0, 4), (0, 3, 5)), (TimeGrid(1.0, 4), (1, 3)), (TimeGrid(2.0, 4), (1, 3, 5))],
+        ids=["same-size-support", "smaller-support", "other-grid"],
+    )
+    def test_assembly_refuses_another_parametrix_series(self, grid, support):
+        p = Parametrix(*self.parts())
+        other = Parametrix(grid, p.samples, support, p.heat_image[:, : len(support)])
+        assemble_heat_kernel(p, neumann_series(p, 1e-8))
+        with pytest.raises(ContractViolation, match="does not match"):
+            assemble_heat_kernel(p, neumann_series(other, 1e-8))
 
 
 class TestAssemblyMemory:
-    """``assemble_heat_kernel`` never holds a full-length spectrum: the
+    """Neither stage holds a full (M+1, n, n) array it does not return:
+    ``neumann_series`` works on the support rows of LH only, and
+    ``assemble_heat_kernel`` never holds a full-length spectrum, since the
     correction is computed a block of rows at a time and H is added in place."""
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def assembly_peak(self, p):
         series = neumann_series(p, 1e-8)
-        before = p.samples.values.copy()
-        tracemalloc.start()
-        try:
-            assemble_heat_kernel(p, series)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(p.samples.values, before)
+        before = p.samples.copy()
+        peak = self.peak(assemble_heat_kernel, p, series)
+        assert np.array_equal(p.samples, before)
         return peak
 
-    def test_dirichlet_verify_setup(self):
-        # 2001 × 41 × 41 values are 27 MB; the one-shot spectrum was 54 MB
+    @staticmethod
+    def dirichlet_verify_setup():
         from heatpar.cli import _ambient_closed_form
 
         cases = os.path.join(os.path.dirname(__file__), "..", "cases")
         doc = load_document(os.path.join(cases, "halfline_w40.json"))
-        p = dirichlet_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(2.0, 2000))
-        assert self.assembly_peak(p) < 60e6
+        return dirichlet_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(2.0, 2000))
 
-    def test_lattice_with_hole(self):
+    @staticmethod
+    def lattice_with_hole():
         from heatpar.cli import _ambient_closed_form
 
         doc = parse_document(json.dumps(lattice_hole_document(seed=1)))
         p = restriction_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(1.0, 250))
         assert p.n == 77
-        assert self.assembly_peak(p) < 35e6
+        return p
+
+    def test_dirichlet_verify_setup(self):
+        # 2001 × 41 × 41 values are 27 MB; the one-shot spectrum was 54 MB
+        assert self.assembly_peak(self.dirichlet_verify_setup()) < 60e6
+
+    def test_lattice_with_hole(self):
+        assert self.assembly_peak(self.lattice_with_hole()) < 35e6
+
+    def test_series_dirichlet_verify_setup(self):
+        # LH has 2 support rows of 41; one full (M+1, n, n) array is 27 MB
+        assert self.peak(neumann_series, self.dirichlet_verify_setup(), 1e-8) < 20e6
+
+    def test_series_lattice_with_hole(self):
+        # 8 support rows of 77; one full (M+1, n, n) array is 12 MB
+        assert self.peak(neumann_series, self.lattice_with_hole(), 1e-8) < 18e6

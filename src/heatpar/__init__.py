@@ -62,9 +62,7 @@ _EXPORTS = {
     ),
     "series": (
         "ClosedFormKernel",
-        "KernelSeries",
         "TimeGrid",
-        "convolve",
         "convolve_values",
         "fold_bound",
         "sample_closed_form",

@@ -146,13 +146,15 @@ def _half_asymmetry(values) -> float:
     """½·sup|K − Kᵀ| over all times, taken a block of times at a time.
 
     Every exact kernel here is symmetric, so this is a proven lower bound
-    on the sup error of ``values``; a NaN entry makes it NaN."""
+    on the sup error of ``values``; a non-finite entry makes it NaN or inf,
+    with no warning, so such a kernel is refused too."""
     import numpy as np
 
     step = max(1, 65536 // values[0].size)
     blocks = (values[j : j + step] for j in range(0, len(values), step))
     # K − Kᵀ is antisymmetric, so its largest entry is its sup norm
-    return 0.5 * float(np.max([(b - b.transpose(0, 2, 1)).max() for b in blocks]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return 0.5 * float(np.max([(b - b.transpose(0, 2, 1)).max() for b in blocks]))
 
 
 def _dispatch(doc, method: str, grid, tol: float):
@@ -177,17 +179,17 @@ def _dispatch(doc, method: str, grid, tol: float):
 
     g = doc.graph
     if method == "spectral":
-        return sample_closed_form(spectral_kernel(g), grid).values
+        return sample_closed_form(spectral_kernel(g), grid)
     if method == "expm":
         return np.stack([expm_heat_kernel(g, float(t)) for t in grid.nodes])
     if method == "parametrix-diagonal":
-        return heat_kernel_via_parametrix(diagonal_parametrix(g, grid), tol).values
+        return heat_kernel_via_parametrix(diagonal_parametrix(g, grid), tol)
     if method in ("parametrix-restriction", "dirichlet"):
         if doc.embedding is None:
             raise ParseError(f"{method} needs an ambient block")
         build = dirichlet_parametrix if method == "dirichlet" else restriction_parametrix
         p = build(doc.embedding, _ambient_closed_form(doc), grid)
-        return heat_kernel_via_parametrix(p, tol).values
+        return heat_kernel_via_parametrix(p, tol)
     if method == "parametrix-embed":
         if not doc.positions:
             raise ParseError("parametrix-embed needs a positions block")
@@ -212,12 +214,12 @@ def _dispatch(doc, method: str, grid, tol: float):
         cells = build_voronoi(doc.position_list(), length, delta_fraction)
         bumps = build_bumps(cells, quad_points)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
-        return embed_heat_kernel(p, g, tol).values
+        return embed_heat_kernel(p, g, tol)
     if method == "closed-form-complete":
         e = doc.embedding or SubgraphEmbedding.trivial(g)
         if not ambient_is_unit_complete(e):
             raise ParseError("closed-form-complete needs a unit-weight complete graph or ambient")
-        return sample_closed_form(subgraph_kernel_closed_form(e), grid).values
+        return sample_closed_form(subgraph_kernel_closed_form(e), grid)
     if method in ("closed-form-halfline", "closed-form-halfline-dirichlet"):
         coords = halfline_coordinates(doc)
         if coords is None:
@@ -226,7 +228,7 @@ def _dispatch(doc, method: str, grid, tol: float):
             kernel = halfline_window_kernel(coords)
         else:
             kernel = halfline_dirichlet_closed_form(coords)
-        return sample_closed_form(kernel, grid).values
+        return sample_closed_form(kernel, grid)
     raise ParseError(f"unknown method {method!r}")
 
 

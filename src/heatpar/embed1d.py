@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, NumericalBudgetError, ResolutionError
 from .graph import WeightedGraph
 from .parametrix import Parametrix, assemble_heat_kernel, neumann_series
-from .series import KernelSeries, TimeGrid
+from .series import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -232,22 +232,16 @@ def averaged_parametrix(
     bumps: BumpFamily,
     grid: TimeGrid,
     graph: WeightedGraph,
-    normalization: str = "symmetric",
 ) -> Parametrix:
     """Average the interval kernel against the bump family to obtain an
-    order-zero parametrix for the embedded graph.
-
-    ``normalization`` selects the symmetric (μ_{v1} μ_{v2})^{−1/2} scaling
-    or the first-variable 1/μ_{v1} scaling; both are valid parametrices and
-    must assemble to the same heat kernel.  A Richardson comparison between
+    order-zero parametrix for the embedded graph, with the symmetric
+    (μ_{v1} μ_{v2})^{−1/2} scaling.  A Richardson comparison between
     the requested quadrature resolution and its refinement guards the mode
     overlaps; if the estimated error exceeds 1e-6 the resolution is
     rejected.
     """
     if len(cells) != graph.n:
         raise ContractViolation("graph size does not match the cell count")
-    if normalization not in ("symmetric", "first"):
-        raise ContractViolation("normalization must be 'symmetric' or 'first'")
     mu = np.array([c.measure for c in cells])
     s = _mode_overlaps(d, cells, bumps, d.quad_points)
     s_fine = _mode_overlaps(d, cells, bumps, 2 * d.quad_points)
@@ -262,11 +256,7 @@ def averaged_parametrix(
             "increase quad_points"
         )
     s = s_fine  # keep the refined overlaps
-
-    if normalization == "symmetric":
-        norm = 1.0 / np.sqrt(np.outer(mu, mu))
-    else:
-        norm = 1.0 / mu[:, None] * np.ones((1, len(cells)))
+    norm = 1.0 / np.sqrt(np.outer(mu, mu))
 
     # mode sums collapse to one matrix product per block of times.  The
     # rates increase, so in a block only the modes with rate·t_min below the
@@ -288,14 +278,14 @@ def averaged_parametrix(
     return Parametrix(grid, h, tuple(range(nv)), lh)
 
 
-def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> KernelSeries:
+def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> np.ndarray:
     """Correct the averaged parametrix into the embedded graph's heat kernel
     and sanity-check that the correction vanishes at the first grid node."""
     if p.n != g.n:
         raise ContractViolation("parametrix and graph sizes differ")
     series = neumann_series(p, tol)
     out = assemble_heat_kernel(p, series)
-    corr = out.values[1] - p.samples[1]
+    corr = out[1] - p.samples[1]
     h_scale = float(np.abs(p.samples[1]).max())
     limit = 4.0 * series.bound_constant * p.n * p.grid.dt * max(1.0, h_scale) + 1e-12
     if np.abs(corr).max() > limit:

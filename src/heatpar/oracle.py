@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalBudgetError
 from .graph import WeightedGraph
-from .series import ClosedFormKernel, KernelSeries
+from .series import ClosedFormKernel
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -119,16 +119,26 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
     core, scaled so the halved matrix has sup-norm at most 0.5.
 
     At that norm the dropped Taylor tail is below 0.5^26/26! ≈ 4e−35, so
-    the result is limited by roundoff, not truncation.
+    the result is limited by roundoff, not truncation.  A t·‖Δ‖ whose
+    scaling 2^s is not a finite float, or squarings that overflow, are
+    refused.
     """
     if t < 0:
         raise ContractViolation("time must be nonnegative")
-    a = -t * g.laplacian_matrix()
-    norm = float(np.abs(a).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        a = -t * g.laplacian_matrix()
+        norm = float(np.abs(a).sum(axis=1).max())
+    if not norm <= 2.0**1022:  # else 2.0**s below overflows
+        raise NumericalBudgetError(
+            f"t*|Laplacian| = {norm:.3e} at t={t:.6g} overflows the expm scaling"
+        )
     s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     core = _expm_taylor(a / 2.0**s)
-    for _ in range(s):
-        core = core @ core
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            core = core @ core
+    if not np.isfinite(core).all():
+        raise NumericalBudgetError(f"expm at t={t:.6g} overflows in {s} squarings")
     return core
 
 
@@ -159,19 +169,13 @@ class OracleReport:
         }
 
 
-def compare_kernels(a, b, times: Sequence[float] | None = None, budget: float | None = None) -> OracleReport:
-    """Compare two kernels given as KernelSeries or stacked (T, n, n) arrays."""
-    if isinstance(a, KernelSeries) and isinstance(b, KernelSeries):
-        if a.grid != b.grid:
-            raise ContractViolation("kernel series grids differ")
-        times = a.grid.nodes
-        va, vb = a.values, b.values
-    else:
-        va = a.values if isinstance(a, KernelSeries) else np.asarray(a, dtype=float)
-        vb = b.values if isinstance(b, KernelSeries) else np.asarray(b, dtype=float)
-        if times is None:
-            raise ContractViolation("times are required for raw kernel stacks")
-        times = np.asarray(times, dtype=float)
+def compare_kernels(a, b, times: Sequence[float], budget: float | None = None) -> OracleReport:
+    """Compare two kernels stacked as (T, n, n) arrays over ``times``; a
+    budget must be a nonnegative number."""
+    if budget is not None and not budget >= 0:
+        raise ContractViolation(f"budget must be nonnegative, got {budget}")
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    times = np.asarray(times, dtype=float)
     if va.shape != vb.shape:
         raise ContractViolation(f"kernel shapes differ: {va.shape} vs {vb.shape}")
     if len(times) != va.shape[0]:
@@ -185,7 +189,7 @@ def compare_kernels(a, b, times: Sequence[float] | None = None, budget: float | 
         if over.size:
             first_over = float(times[int(over[0])])
     return OracleReport(
-        times=np.asarray(times, dtype=float),
+        times=times,
         per_time_error=per_time,
         sup_error=sup,
         argmax_time=argmax,

@@ -31,7 +31,6 @@ from .graph import (
 from .oracle import jacobi_eigh
 from .series import (
     ClosedFormKernel,
-    KernelSeries,
     TimeGrid,
     _series_product,
     convolve_values,
@@ -129,7 +128,7 @@ def restriction_parametrix(
         missing = sorted(adjacency_complement(e, v1))
         coupling[i, missing] = e.ambient.weights[v1, missing]
         coupling[i, v1] = -coupling[i].sum()
-    amb = sample_closed_form(ambient_kernel, grid).values
+    amb = sample_closed_form(ambient_kernel, grid)
     h = amb[:, kept[:, None], kept[None, :]]
     support = tuple(e.subgraph_index(v) for v in boundary)
     return Parametrix(grid, h, support, (coupling @ amb)[:, :, kept])
@@ -161,7 +160,7 @@ def dirichlet_parametrix(
     coupling[np.ix_(boundary, interior)] = -w[np.ix_(boundary, interior)]
     coupling[np.ix_(second, boundary)] = w[np.ix_(second, boundary)]
     support = np.union1d(boundary, second)
-    h = sample_closed_form(ambient_kernel, grid).values[:, kept[:, None], kept[None, :]]
+    h = sample_closed_form(ambient_kernel, grid)[:, kept[:, None], kept[None, :]]
     lh = coupling[support] @ h  # before the boundary rows of h are zeroed
     h[:, boundary, :] = 0.0
     return Parametrix(grid, h, tuple(support.tolist()), lh)
@@ -217,7 +216,7 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     the true constant and the support size as the vertex count, drops below
     ``tol``; ``certified_tail`` sums the bound over the later terms.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ContractViolation("tolerance must be positive")
     lh_s = p.heat_image
     m1 = lh_s.shape[0]
@@ -270,17 +269,18 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     )
 
 
-def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> KernelSeries:
-    """H_G = H + H * F, with the convolution restricted to the support of F."""
+def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> np.ndarray:
+    """H_G = H + H * F on the grid nodes, shape (M+1, n, n), with the
+    convolution restricted to the support of F."""
     if (series.grid, series.support) != (p.grid, p.support):
         raise ContractViolation("series grid or support does not match the parametrix")
     h = p.samples
     corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt)
     corr += h  # in place: the correction is a new array, the samples stay as they are
-    return KernelSeries(p.grid, corr)
+    return corr
 
 
-def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> KernelSeries:
+def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> np.ndarray:
     """Run the full pipeline: Neumann series then assembly."""
     return assemble_heat_kernel(p, neumann_series(p, tol))
 

@@ -1,7 +1,7 @@
 """Time-sampled two-variable kernels and their convolution algebra.
 
-A kernel series stores values F(x, y; t_j) on a uniform time grid as an
-array of shape (M+1, n, n).  The graph convolution
+A sampled kernel is a plain array of values F(x, y; t_j) at the nodes of a
+uniform time grid, shape (M+1, n, n).  The graph convolution
 
     (F1 * F2)(x, y; t) = ∫_0^t Σ_v F1(x, v; t−r) F2(v, y; r) dr
 
@@ -29,8 +29,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.t_max > 0):
-            raise ContractViolation(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ContractViolation(f"t_max must be positive and finite, got {self.t_max}")
         if self.steps < 1:
             raise ContractViolation(f"steps must be >= 1, got {self.steps}")
 
@@ -42,29 +42,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
-
-@dataclass(frozen=True)
-class KernelSeries:
-    """Kernel values sampled at grid nodes; shape (steps+1, n, n)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise ContractViolation(f"values must have shape (M+1, n, n), got {v.shape}")
-        if v.shape[0] != self.grid.steps + 1:
-            raise ContractViolation(
-                f"time axis {v.shape[0]} does not match grid with {self.grid.steps + 1} nodes"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ContractViolation("kernel series contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
 
 @dataclass(frozen=True)
 class ClosedFormKernel:
@@ -142,13 +119,6 @@ def convolve_values(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def convolve(f1: KernelSeries, f2: KernelSeries) -> KernelSeries:
-    """Graph convolution of two kernel series on the same grid."""
-    if f1.grid != f2.grid:
-        raise ContractViolation("kernel series live on different time grids")
-    return KernelSeries(f1.grid, convolve_values(f1.values, f2.values, f1.grid.dt))
-
-
 def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:
     """Upper bound (C·k!)^ℓ·n^{ℓ−1}·t^{ℓk+ℓ−1}/(ℓk+ℓ−1)! for the ℓ-fold
     convolution of a kernel bounded by C·t^k; the factor n tightens to the
@@ -169,8 +139,9 @@ def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:
     return math.exp(log_b) if log_b < 700.0 else math.inf
 
 
-def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> KernelSeries:
-    """Sample a closed-form kernel at every grid node in one call."""
+def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> np.ndarray:
+    """Sample a closed-form kernel at every grid node in one call; the
+    (M+1, n, n) values are checked finite."""
     vals = np.asarray(kernel.sample(grid.nodes), dtype=float)
     if not np.isfinite(vals).all():
         j, x, y = np.argwhere(~np.isfinite(vals))[0]
@@ -178,4 +149,4 @@ def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> KernelSeries
             f"{kernel.family} kernel returned a non-finite value at "
             f"(x={x}, y={y}, t={grid.nodes[j]})"
         )
-    return KernelSeries(grid, vals)
+    return vals

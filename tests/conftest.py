@@ -9,6 +9,7 @@ from heatpar.bessel import besseli, intro_identity_sum
 from heatpar.embed1d import _mode_overlaps
 from heatpar.errors import ContractViolation, DomainError
 from heatpar.graph import SubgraphEmbedding, WeightedGraph, adjacency_complement
+from heatpar.parametrix import Parametrix
 from heatpar.series import fold_bound
 from heatpar.series import next_fast_len as smooth_fft_len
 
@@ -285,6 +286,20 @@ def full_mode_parametrix(d, cells, bumps, grid, graph):
     dh = (w @ (pair * (-rates[:, None]))).reshape(-1, nv, nv) * norm
     lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh
     return h, lh
+
+
+def first_variable_parametrix(p, cells, graph):
+    """The symmetric ``averaged_parametrix`` ``p`` rescaled to the
+    first-variable 1/μ_{v1} normalization, which must assemble to the same
+    heat kernel: H_f = H·√(μ_y/μ_x), ∂_tH_f = (LH − ΔH)·√(μ_y/μ_x) and
+    LH_f = ΔH_f + ∂_tH_f."""
+    mu = np.array([c.measure for c in cells])
+    scale = np.sqrt(np.outer(1.0 / mu, mu))  # √(μ_y/μ_x) at [x, y]
+    lap = graph.laplacian_matrix()
+    h = p.samples * scale
+    dh = (p.heat_image - np.einsum("xv,cvw->cxw", lap, p.samples)) * scale
+    lh = np.einsum("xv,cvw->cxw", lap, h) + dh
+    return Parametrix(p.grid, h, p.support, lh)
 
 
 @pytest.fixture

@@ -39,9 +39,14 @@ from heatpar.parametrix import (
     restriction_parametrix,
     subgraph_kernel_closed_form,
 )
-from heatpar.series import KernelSeries, TimeGrid, convolve, sample_closed_form
+from heatpar.series import TimeGrid, convolve_values, sample_closed_form
 
-from conftest import convolution_bound, random_graph, verify_intro_identity
+from conftest import (
+    convolution_bound,
+    first_variable_parametrix,
+    random_graph,
+    verify_intro_identity,
+)
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -76,7 +81,7 @@ def test_criterion_1_complete_graph_edge_deletion():
     for t in (0.1, 0.5, 1.0):
         j = round(t / grid.dt)
         closed = exact.at(t)
-        sup = max(sup, float(np.abs(hg.values[j] - closed).max()))
+        sup = max(sup, float(np.abs(hg[j] - closed).max()))
     elapsed = time.perf_counter() - started
     report(
         "criterion-1 complete-graph edge deletion",
@@ -120,7 +125,7 @@ def _criterion3_corpus(count: int):
 def _diagonal_pipeline_error(g, steps):
     grid = TimeGrid(2.0, steps)
     hg = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-8)
-    return compare_kernels(hg, sample_closed_form(spectral_kernel(g), grid)).sup_error
+    return compare_kernels(hg, sample_closed_form(spectral_kernel(g), grid), grid.nodes).sup_error
 
 
 @pytest.mark.slow
@@ -155,7 +160,7 @@ def test_criterion_4_halfline_neumann_kernel():
     p = restriction_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
     hg = heat_kernel_via_parametrix(p, 1e-10)
     closed = sample_closed_form(halfline_window_kernel(np.arange(w + 1)), grid)
-    sup = float(np.abs(hg.values[:, :6, :6] - closed.values[:, :6, :6]).max())
+    sup = float(np.abs(hg[:, :6, :6] - closed[:, :6, :6]).max())
     report(
         "criterion-4 half-line kernel via windowed parametrix",
         sup <= 1e-5 and certificate < 1e-12,
@@ -171,8 +176,8 @@ def test_criterion_5_dirichlet_halfline():
     p = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
     hg = heat_kernel_via_parametrix(p, 1e-10)
     closed = sample_closed_form(halfline_dirichlet_closed_form(np.arange(w + 1)), grid)
-    sup = float(np.abs(hg.values[:, :6, :6] - closed.values[:, :6, :6]).max())
-    boundary_row = float(np.abs(hg.values[:, 0, :]).max())
+    sup = float(np.abs(hg[:, :6, :6] - closed[:, :6, :6]).max())
+    boundary_row = float(np.abs(hg[:, 0, :]).max())
     report(
         "criterion-5 Dirichlet half-line",
         sup <= 1e-5 and boundary_row == 0.0,
@@ -227,15 +232,12 @@ def test_criterion_7_interval_embedding():
     )
 
     grid = TimeGrid(0.5, 262_144)
-    kernels = {}
-    for normalization in ("symmetric", "first"):
-        p = averaged_parametrix(dom, cells, bumps, grid, g, normalization=normalization)
-        kernels[normalization] = embed_heat_kernel(p, g, 1e-8)
+    p = averaged_parametrix(dom, cells, bumps, grid, g)
+    symmetric = embed_heat_kernel(p, g, 1e-8)
+    first = embed_heat_kernel(first_variable_parametrix(p, cells, g), g, 1e-8)
     spectral = sample_closed_form(spectral_kernel(g), grid)
-    sup = compare_kernels(kernels["symmetric"], spectral).sup_error
-    between = float(
-        np.abs(kernels["symmetric"].values - kernels["first"].values).max()
-    )
+    sup = compare_kernels(symmetric, spectral, grid.nodes).sup_error
+    between = float(np.abs(symmetric - first).max())
     report(
         "criterion-7 interval embedding",
         dirac <= 0.02 and sup <= 1e-3 and between <= 2e-3,
@@ -255,8 +257,7 @@ def test_criterion_8_property_suites():
     for trial in range(10):
         g = random_graph(rng, n_max=8)
         grid = TimeGrid(2.0, 1000)
-        hg = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-8)
-        v = hg.values
+        v = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-8)
         tol = 1e-4
         if np.abs(v - v.transpose(0, 2, 1)).max() > tol:
             failures.append(f"symmetry trial {trial}")
@@ -275,9 +276,9 @@ def test_criterion_8_property_suites():
     grid = TimeGrid(2.0, 600)
     pd = dirichlet_parametrix(e, z_window_kernel(np.arange(-1, w + 1)), grid)
     hd = heat_kernel_via_parametrix(pd, 1e-9)
-    if hd.values.sum(axis=2).max() > 1.0 + 1e-6:
+    if hd.sum(axis=2).max() > 1.0 + 1e-6:
         failures.append("dirichlet mass exceeds one")
-    if hd.values[:, 1:, :].min() < -1e-6:
+    if hd[:, 1:, :].min() < -1e-6:
         failures.append("dirichlet interior positivity")
 
     # convolution associativity on zero-at-origin series
@@ -285,9 +286,10 @@ def test_criterion_8_property_suites():
         grid_a = TimeGrid(1.0, 48)
         vals = rng.normal(size=(3, 49, 3, 3))
         vals[:, 0] = 0.0
-        f1, f2, f3 = (KernelSeries(grid_a, x) for x in vals)
-        left = convolve(convolve(f1, f2), f3).values
-        right = convolve(f1, convolve(f2, f3)).values
+        f1, f2, f3 = vals
+        dt = grid_a.dt
+        left = convolve_values(convolve_values(f1, f2, dt), f3, dt)
+        right = convolve_values(f1, convolve_values(f2, f3, dt), dt)
         scale = max(np.abs(left).max(), 1e-30)
         if np.abs(left - right).max() > 1e-10 * scale:
             failures.append(f"associativity trial {trial}")
@@ -300,9 +302,9 @@ def test_criterion_8_property_suites():
         c1, c2 = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
         a = c1 * rng.uniform(-1, 1, size=(65, n, n)) * (grid_b.nodes**k).reshape(-1, 1, 1)
         b = c2 * rng.uniform(-1, 1, size=(65, n, n)) * (grid_b.nodes**ell).reshape(-1, 1, 1)
-        out = convolve(KernelSeries(grid_b, a), KernelSeries(grid_b, b))
+        out = convolve_values(a, b, grid_b.dt)
         t = grid_b.t_max
-        if np.abs(out.values[-1]).max() > convolution_bound(c1, k, c2, ell, n, t) + 1e-10:
+        if np.abs(out[-1]).max() > convolution_bound(c1, k, c2, ell, n, t) + 1e-10:
             failures.append(f"bound trial {trial}")
 
     # truncation-certificate stability: tol/10 moves the kernel by <= 10 tol
@@ -311,8 +313,8 @@ def test_criterion_8_property_suites():
         grid_c = TimeGrid(1.0, 500)
         p = diagonal_parametrix(g, grid_c)
         tol = 1e-6
-        a = assemble_heat_kernel(p, neumann_series(p, tol)).values
-        b = assemble_heat_kernel(p, neumann_series(p, tol / 10)).values
+        a = assemble_heat_kernel(p, neumann_series(p, tol))
+        b = assemble_heat_kernel(p, neumann_series(p, tol / 10))
         if np.abs(a - b).max() > 10 * tol:
             failures.append(f"certificate trial {trial}")
 

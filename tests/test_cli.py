@@ -258,6 +258,50 @@ class TestKernelCommand:
         vals[1, 4, 4] = np.nan  # refused by compute_kernel, never passed
         assert np.isnan(_half_asymmetry(vals))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [(0, 1, math.inf), (1, 0, -math.inf), (1, 1, math.inf)])
+    def test_non_finite_kernel_exits_3(self, monkeypatch, capsys, entry):
+        # off the diagonal and on it, where K − Kᵀ is inf − inf
+        import numpy as np
+
+        from heatpar import cli
+
+        x, y, value = entry
+
+        def dispatch(doc, method, grid, tol):
+            vals = np.full((grid.steps + 1, 2, 2), 0.5)
+            vals[-1, x, y] = value
+            return vals
+
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        status = run_main(["kernel", "--graph", case("k2.json"), "--method", "spectral",
+                           "--steps", "4"])
+        assert status == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "numerical budget exceeded" in out.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["spectral", "parametrix-diagonal", "expm"])
+    def test_infinite_t_max_exits_2(self, capsys, method):
+        status = run_main(["kernel", "--graph", case("path3_interval.json"), "--method", method,
+                           "--t-max", "inf", "--steps", "4"])
+        assert status == 2
+        assert "t_max must be positive and finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["k2.json", "path3_interval.json"])
+    def test_expm_overflow_exits_3(self, capsys, name):
+        status = run_main(["kernel", "--graph", case(name), "--method", "expm",
+                           "--t-max", "1e308", "--steps", "4"])
+        assert status == 3
+        assert "overflows the expm scaling" in capsys.readouterr().err
+
+    def test_nan_tolerance_exits_2(self, capsys):
+        status = run_main(["kernel", "--graph", case("k2.json"), "--method",
+                           "parametrix-diagonal", "--tol", "nan", "--steps", "4"])
+        assert status == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+
 
 def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):
     # the ambient-spectral parametrix is checked against the Jacobi-based
@@ -439,6 +483,14 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["within_budget"] is False
         assert report["first_over_budget"] is not None
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_budget_exits_2(self, capsys, budget):
+        status = run_main(["verify", "--graph", case("k2.json"), "--method-a", "spectral",
+                           "--method-b", "expm", "--steps", "4", "--budget", budget])
+        assert status == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "budget must be nonnegative" in out.err
 
 
 class TestIdentityCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatpar.documents import parse_document
-from heatpar.errors import ContractViolation
+from heatpar.errors import ContractViolation, NumericalBudgetError
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import (
     compare_kernels,
@@ -126,7 +126,7 @@ class TestSpectralKernel:
         g = WeightedGraph.complete(5)
         grid = TimeGrid(3.0, 60)
         series = sample_closed_form(spectral_kernel(g), grid)
-        diag = series.values[:, 2, 2]
+        diag = series[:, 2, 2]
         assert np.all(np.diff(diag) <= 1e-12)
 
 
@@ -157,13 +157,25 @@ class TestExpm:
             worst = max(worst, d)
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize(
+        "t, match",
+        [
+            (1e308, r"= inf at .* overflows the expm scaling"),  # t·‖Δ‖ = inf
+            (1.5 * 2.0**1021, r"= 6\.741e\+307 .* overflows the expm scaling"),  # 2^s = inf
+            (1e20, "overflows in 69 squarings"),  # roundoff grows past the largest float
+        ],
+    )
+    def test_overflow_is_refused(self, t, match):
+        with pytest.raises(NumericalBudgetError, match=match):
+            expm_heat_kernel(WeightedGraph.complete(2), t)
+
 
 class TestCompareKernels:
     def test_zero_report_for_identical(self, rng):
         g = random_graph(rng)
         grid = TimeGrid(1.0, 8)
         s = sample_closed_form(spectral_kernel(g), grid)
-        report = compare_kernels(s, s)
+        report = compare_kernels(s, s, grid.nodes)
         assert report.sup_error == 0.0
         assert np.all(report.per_time_error == 0.0)
 
@@ -182,6 +194,13 @@ class TestCompareKernels:
         with pytest.raises(ContractViolation):
             compare_kernels(np.zeros((2, 2, 2)), np.zeros((2, 3, 3)), times=[0, 1])
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_budget_must_be_a_nonnegative_number(self, budget):
+        a = np.zeros((2, 2, 2))
+        with pytest.raises(ContractViolation, match="budget must be nonnegative"):
+            compare_kernels(a, a, [0.0, 1.0], budget=budget)
+        assert compare_kernels(a, a, [0.0, 1.0], budget=0.0).within_budget
+
     def test_refinement_self_comparison_ratio(self):
         # halving dt shrinks the trapezoid error about fourfold
         from heatpar.parametrix import diagonal_parametrix, heat_kernel_via_parametrix
@@ -192,7 +211,7 @@ class TestCompareKernels:
             grid = TimeGrid(1.0, steps)
             hg = heat_kernel_via_parametrix(diagonal_parametrix(g, grid), 1e-10)
             sp = sample_closed_form(spectral_kernel(g), grid)
-            errs.append(compare_kernels(hg, sp).sup_error)
+            errs.append(compare_kernels(hg, sp, grid.nodes).sup_error)
         assert errs[0] / errs[1] >= 3.5
 
     def test_decomposition_caching_equivalence(self):

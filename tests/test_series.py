@@ -10,9 +10,7 @@ from heatpar.errors import ContractViolation, SamplingError
 from heatpar.parametrix import complete_graph_kernel
 from heatpar.series import (
     ClosedFormKernel,
-    KernelSeries,
     TimeGrid,
-    convolve,
     convolve_values,
     fold_bound,
     next_fast_len,
@@ -28,11 +26,11 @@ from conftest import (
 
 
 def constant_series(grid, n, value=1.0):
-    return KernelSeries(grid, np.full((grid.steps + 1, n, n), value))
+    return np.full((grid.steps + 1, n, n), value)
 
 
 def monomial_series(grid, k):
-    return KernelSeries(grid, (grid.nodes**k).reshape(-1, 1, 1))
+    return (grid.nodes**k).reshape(-1, 1, 1)
 
 
 class TestTimeGrid:
@@ -47,24 +45,28 @@ class TestTimeGrid:
         with pytest.raises(ContractViolation):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_max(self, t_max):
+        with pytest.raises(ContractViolation, match="positive and finite"):
+            TimeGrid(t_max, 4)
+
 
 class TestConvolve:
     def test_ones_single_vertex_exact(self):
         grid = TimeGrid(2.0, 64)
-        out = convolve(constant_series(grid, 1), constant_series(grid, 1))
-        assert np.allclose(out.values[:, 0, 0], grid.nodes, atol=1e-14)
+        out = convolve_values(constant_series(grid, 1), constant_series(grid, 1), grid.dt)
+        assert np.allclose(out[:, 0, 0], grid.nodes, atol=1e-14)
 
     def test_ones_scale_with_vertex_count(self):
         grid = TimeGrid(1.5, 32)
-        out = convolve(constant_series(grid, 3), constant_series(grid, 3))
-        assert np.allclose(out.values[:, 0, 0], 3.0 * grid.nodes, atol=1e-13)
+        out = convolve_values(constant_series(grid, 3), constant_series(grid, 3), grid.dt)
+        assert np.allclose(out[:, 0, 0], 3.0 * grid.nodes, atol=1e-13)
 
     def test_matches_direct_summation(self, rng):
         grid = TimeGrid(1.0, 40)
         a = rng.normal(size=(41, 3, 3))
         b = rng.normal(size=(41, 3, 3))
-        fa, fb = KernelSeries(grid, a), KernelSeries(grid, b)
-        out = convolve(fa, fb).values
+        out = convolve_values(a, b, grid.dt)
         ref = naive_convolve(a, b, grid.dt)
         assert np.abs(out - ref).max() <= 1e-12
         # rectangular operands, as in assembly, with non-zero t = 0 values
@@ -90,7 +92,8 @@ class TestConvolve:
         # r^k * r^l convolves to k! l!/(k+l+1)! t^{k+l+1}
         k, ell = 2, 3
         grid = TimeGrid(1.0, 512)
-        out = convolve(monomial_series(grid, k), monomial_series(grid, ell))
+        out = convolve_values(monomial_series(grid, k), monomial_series(grid, ell), grid.dt)
+
         def beta_values(g):
             return (
                 math.factorial(k)
@@ -99,23 +102,23 @@ class TestConvolve:
                 * g.nodes ** (k + ell + 1)
             )
 
-        err = np.abs(out.values[:, 0, 0] - beta_values(grid)).max()
+        err = np.abs(out[:, 0, 0] - beta_values(grid)).max()
         grid2 = TimeGrid(grid.t_max, 2 * grid.steps)
-        out2 = convolve(monomial_series(grid2, k), monomial_series(grid2, ell))
-        err2 = np.abs(out2.values[:, 0, 0] - beta_values(grid2)).max()
+        out2 = convolve_values(monomial_series(grid2, k), monomial_series(grid2, ell), grid2.dt)
+        err2 = np.abs(out2[:, 0, 0] - beta_values(grid2)).max()
         assert err <= 1e-5
         assert err / err2 >= 3.5  # second-order convergence
 
     def test_grid_mismatch(self):
         a = constant_series(TimeGrid(1.0, 8), 1)
         b = constant_series(TimeGrid(1.0, 16), 1)
-        with pytest.raises(ContractViolation):
-            convolve(a, b)
+        with pytest.raises(ContractViolation, match="time axes differ"):
+            convolve_values(a, b, 1.0 / 8)
 
     def test_zero_at_origin(self, rng):
         grid = TimeGrid(1.0, 16)
-        a = KernelSeries(grid, rng.normal(size=(17, 2, 2)))
-        assert np.all(convolve(a, a).values[0] == 0.0)
+        a = rng.normal(size=(17, 2, 2))
+        assert np.all(convolve_values(a, a, grid.dt)[0] == 0.0)
 
 
 def row_blocks(ma: int, mb: int, p: int, r: int) -> tuple[int, int]:
@@ -171,9 +174,10 @@ class TestAssociativity:
         grid = TimeGrid(1.0, steps)
         vals = rng.normal(size=(3, steps + 1, n, n))
         vals[:, 0] = 0.0
-        f1, f2, f3 = (KernelSeries(grid, v) for v in vals)
-        left = convolve(convolve(f1, f2), f3).values
-        right = convolve(f1, convolve(f2, f3)).values
+        f1, f2, f3 = vals
+        dt = grid.dt
+        left = convolve_values(convolve_values(f1, f2, dt), f3, dt)
+        right = convolve_values(f1, convolve_values(f2, f3, dt), dt)
         scale = max(np.abs(left).max(), np.abs(right).max(), 1e-30)
         assert np.abs(left - right).max() <= 1e-10 * scale
 
@@ -184,9 +188,10 @@ class TestAssociativity:
             vals = np.stack(
                 [np.cos((k + 1) * grid.nodes).reshape(-1, 1, 1) for k in range(3)]
             )
-            f1, f2, f3 = (KernelSeries(grid, v) for v in vals)
-            left = convolve(convolve(f1, f2), f3).values
-            right = convolve(f1, convolve(f2, f3)).values
+            f1, f2, f3 = vals
+            dt = grid.dt
+            left = convolve_values(convolve_values(f1, f2, dt), f3, dt)
+            right = convolve_values(f1, convolve_values(f2, f3, dt), dt)
             return np.abs(left - right).max()
 
         assert defect(64) / defect(128) >= 3.5
@@ -198,16 +203,16 @@ class TestQuadratureOrder:
         # shrinks ~4x when dt halves
         def run(steps):
             grid = TimeGrid(1.0, steps)
-            f1 = KernelSeries(grid, np.cos(3.0 * grid.nodes).reshape(-1, 1, 1))
-            f2 = KernelSeries(grid, np.exp(-2.0 * grid.nodes).reshape(-1, 1, 1))
-            return convolve(f1, f2)
+            f1 = np.cos(3.0 * grid.nodes).reshape(-1, 1, 1)
+            f2 = np.exp(-2.0 * grid.nodes).reshape(-1, 1, 1)
+            return convolve_values(f1, f2, grid.dt)
 
         fine = run(512)
         errs = []
         for steps in (64, 128):
             coarse = run(steps)
             stride = 512 // steps
-            errs.append(np.abs(coarse.values - fine.values[::stride]).max())
+            errs.append(np.abs(coarse - fine[::stride]).max())
         assert errs[0] / errs[1] >= 3.5
 
 
@@ -227,11 +232,11 @@ class TestBounds:
         c1, c2 = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
         a = c1 * rng.uniform(-1, 1, size=(65, n, n)) * (grid.nodes**k).reshape(-1, 1, 1)
         b = c2 * rng.uniform(-1, 1, size=(65, n, n)) * (grid.nodes**ell).reshape(-1, 1, 1)
-        out = convolve(KernelSeries(grid, a), KernelSeries(grid, b))
+        out = convolve_values(a, b, grid.dt)
         for j in (16, 32, 64):
             t = grid.nodes[j]
             bound = convolution_bound(c1, k, c2, ell, n, t)
-            assert np.abs(out.values[j]).max() <= bound + 1e-10
+            assert np.abs(out[j]).max() <= bound + 1e-10
 
     def test_fold_bound_consistency(self):
         # ell = 1 reduces to C t^k
@@ -243,21 +248,20 @@ class TestLFold:
     def test_triple_fold_of_ones(self):
         grid = TimeGrid(1.0, 256)
         ones = constant_series(grid, 1)
-        out = convolve(convolve(ones, ones), ones)
+        out = convolve_values(convolve_values(ones, ones, grid.dt), ones, grid.dt)
         expected = grid.nodes**2 / 2.0
-        assert np.abs(out.values[:, 0, 0] - expected).max() <= 1e-5
+        assert np.abs(out[:, 0, 0] - expected).max() <= 1e-5
 
     def test_fold_respects_factorial_bound(self, rng):
         grid = TimeGrid(1.0, 128)
         vals = 0.7 * rng.uniform(-1.0, 1.0, size=(129, 2, 2))
-        f = KernelSeries(grid, vals)
-        out = f
+        out = vals
         for ell in (2, 3, 4):
-            out = convolve(out, f)
+            out = convolve_values(out, vals, grid.dt)
             for j in (64, 128):
                 t = grid.nodes[j]
                 assert (
-                    np.abs(out.values[j]).max()
+                    np.abs(out[j]).max()
                     <= fold_bound(0.7, 0, ell, 2, t) + 1e-10
                 )
 
@@ -266,12 +270,12 @@ class TestSampling:
     def test_complete_graph_dirac(self):
         grid = TimeGrid(1.0, 4)
         out = sample_closed_form(complete_graph_kernel(2), grid)
-        assert np.array_equal(out.values[0], np.eye(2))
+        assert np.array_equal(out[0], np.eye(2))
 
     def test_complete_graph_equilibrium(self):
         grid = TimeGrid(40.0, 4)
         out = sample_closed_form(complete_graph_kernel(2), grid)
-        assert np.abs(out.values[-1] - 0.5).max() <= 1e-12
+        assert np.abs(out[-1] - 0.5).max() <= 1e-12
 
     def test_z_kernel_diagonal(self):
         from heatpar.bessel import z_window_kernel
@@ -280,7 +284,7 @@ class TestSampling:
         grid = TimeGrid(0.5, 2)
         out = sample_closed_form(kernel, grid)
         expected = math.exp(-1.0) * besseli_oracle(0, 1.0)
-        assert out.values[-1, 2, 2] == pytest.approx(expected, abs=1e-12)
+        assert out[-1, 2, 2] == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_sampling_error(self):
         bad = ClosedFormKernel(

@@ -2,9 +2,10 @@
 Dirichlet sine-series heat kernel.
 
 Each vertex sits at a position in (0, L) and owns the Voronoi cell of
-points nearer to it than to any other vertex.  A per-cell bump function
-with unit plateau and a calibrated overshoot (so that ∫η² equals the cell
-measure) averages the interval kernel into a graph parametrix:
+points nearer to it than to any other vertex.  A per-cell flat-top bump,
+a plateau of height A joined to zero by one monotone ramp, with A
+calibrated so that ∫η² equals the cell measure, averages the interval
+kernel into a graph parametrix:
 
     H0(v1, v2; t) = (μ_{v1} μ_{v2})^{−1/2} ∫∫ K(x, y; t) η_{v1}(x) η_{v2}(y) dy dx.
 
@@ -120,12 +121,12 @@ def smoothstep(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpFamily:
-    """Per-cell bump functions with unit plateau and calibrated overshoot.
+    """Per-cell flat-top bumps, one amplitude A per cell.
 
-    Within each cell, the bump vanishes within delta/2 of the cell
-    boundary, equals one at distance delta or more, and on the band in
-    between rises from zero to the amplitude and settles back to one, with
-    the amplitude tuned so ∫η² equals the cell measure.
+    Within each cell, at distance d from the cell boundary, the bump is A
+    on the plateau d >= delta, A·smoothstep((d − delta/2)/(delta/2)) on the
+    band delta/2 <= d < delta, and zero within delta/2 of the boundary.  The
+    support stays inside the cell, so the parametrix starts diagonal.
     """
 
     cells: tuple[VoronoiCell1D, ...]
@@ -133,26 +134,15 @@ class BumpFamily:
 
     def evaluate(self, v: int, xs) -> np.ndarray:
         cell = self.cells[v]
-        amp = self.amplitudes[v]
         xs = np.asarray(xs, dtype=float)
         d = np.minimum(xs - cell.a, cell.b - xs)
-        delta = cell.delta
-        out = np.zeros_like(xs)
-        plateau = d >= delta
-        out[plateau] = 1.0
-        band = (d >= delta / 2.0) & (d < delta)
-        s = 2.0 * (delta - d[band]) / delta
-        rise = s <= 0.5
-        vals = np.empty_like(s)
-        vals[rise] = 1.0 + (amp - 1.0) * smoothstep(2.0 * s[rise])
-        vals[~rise] = amp * (1.0 - smoothstep(2.0 * s[~rise] - 1.0))
-        out[band] = vals
-        return out
+        return self.amplitudes[v] * smoothstep(np.clip(2.0 * d / cell.delta - 1.0, 0.0, 1.0))
 
 
 def _cell_quadrature(cell: VoronoiCell1D, quad_points: int):
-    """Composite Simpson nodes/weights over the five smooth pieces of the
-    bump's support, so junctions never sit inside a panel."""
+    """Composite Simpson nodes/weights over five pieces of the bump's
+    support: each ramp split at its midpoint, and the plateau, so the
+    junctions of the bump never sit inside a panel."""
     a, b, d = cell.a, cell.b, cell.delta
     cuts = [a + d / 2, a + 3 * d / 4, a + d, b - d, b - 3 * d / 4, b - d / 2]
     floor = max(4, 2 * (quad_points // 32))  # short band pieces carry the curvature
@@ -172,27 +162,18 @@ def _cell_quadrature(cell: VoronoiCell1D, quad_points: int):
 
 
 def build_bumps(cells: list[VoronoiCell1D], quad_points: int = 1600) -> BumpFamily:
-    """Calibrate each cell's overshoot amplitude so that ∫η² = cell measure.
+    """Calibrate each cell's amplitude so that ∫η² = cell measure.
 
-    The bump is affine in the amplitude, η = α + amp·β, so the defect
-    ∫η² − |cell| is the quadratic A·amp² + B·amp + C with C < 0.  Its
-    positive root exists whenever the defect is negative at amp = 1.  Both
-    α and β are nonnegative, so B >= 0 and the root is taken in the
-    cancellation-free form 2C/(−B − √(B² − 4AC)).
+    The bump is A times the profile φ of plateau height one, so the
+    amplitude is A = √(|cell| / ∫φ²), with ∫φ² by the cell quadrature.
+    The plateau value is A > 1, because φ <= 1 vanishes near the cell
+    boundary.
     """
     amps = []
     for cell in cells:
         xs, ws = _cell_quadrature(cell, quad_points)
-        alpha = BumpFamily(cells=(cell,), amplitudes=(0.0,)).evaluate(0, xs)
-        beta = BumpFamily(cells=(cell,), amplitudes=(1.0,)).evaluate(0, xs) - alpha
-        a = float(ws @ (beta * beta))
-        b = 2.0 * float(ws @ (alpha * beta))
-        c = float(ws @ (alpha * alpha)) - cell.measure
-        if a + b + c >= 0.0:
-            raise NumericalBudgetError(
-                "plateau already exceeds the cell measure; use a smaller delta_fraction"
-            )
-        amps.append(2.0 * c / (-b - math.sqrt(b * b - 4.0 * a * c)))
+        phi = BumpFamily(cells=(cell,), amplitudes=(1.0,)).evaluate(0, xs)
+        amps.append(math.sqrt(cell.measure / float(ws @ (phi * phi))))
     return BumpFamily(cells=tuple(cells), amplitudes=tuple(amps))
 
 

@@ -119,7 +119,9 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
     core, scaled so the halved matrix has sup-norm at most 0.5.
 
     At that norm the dropped Taylor tail is below 0.5^26/26! ≈ 4e−35, so
-    the result is limited by roundoff, not truncation.  A t·‖Δ‖ whose
+    the result is limited by roundoff, not truncation.  After each squaring
+    the row and column sums are set back to one and the result is
+    symmetrized, so that roundoff does not grow with t.  A t·‖Δ‖ whose
     scaling 2^s is not a finite float, or squarings that overflow, are
     refused.
     """
@@ -137,6 +139,12 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             core = core @ core
+            # exp(−tΔ) is symmetric with unit row sums on every weighted
+            # graph; restoring both keeps the squarings from raising the
+            # core's roundoff to the power 2^s
+            r = core.sum(axis=1) - 1.0
+            core -= (r[:, None] + r[None, :]) / g.n - r.sum() / g.n**2
+            core = 0.5 * (core + core.T)
     if not np.isfinite(core).all():
         raise NumericalBudgetError(f"expm at t={t:.6g} overflows in {s} squarings")
     return core
@@ -180,7 +188,14 @@ def compare_kernels(a, b, times: Sequence[float], budget: float | None = None) -
         raise ContractViolation(f"kernel shapes differ: {va.shape} vs {vb.shape}")
     if len(times) != va.shape[0]:
         raise ContractViolation("time axis does not match the kernel stacks")
-    per_time = np.abs(va - vb).reshape(va.shape[0], -1).max(axis=1)
+    # per-time maxima a block of times at a time, so the difference never
+    # holds more than about 65536 entries
+    per_time = np.empty(va.shape[0])
+    step = max(1, 65536 // max(1, math.prod(va.shape[1:])))
+    for j in range(0, len(per_time), step):
+        d = va[j : j + step] - vb[j : j + step]
+        np.abs(d, out=d)
+        per_time[j : j + step] = d.reshape(len(d), -1).max(axis=1)
     sup = float(per_time.max()) if per_time.size else 0.0
     argmax = float(times[int(per_time.argmax())]) if per_time.size else 0.0
     first_over = None

@@ -194,6 +194,36 @@ def _series_inverse(p: np.ndarray) -> np.ndarray:
     return g
 
 
+_MAX_TERMS = 10_000_000
+
+
+def series_terms(c: float, n: int, t: float, tol: float) -> int:
+    """The first ℓ >= 1 whose next term's bound fold_bound(c, 0, ℓ + 1, n, t)
+    is below ``tol``; more than ``_MAX_TERMS`` is refused.
+
+    The bound's ratio b(ℓ + 1)/b(ℓ) = c·n·t/ℓ falls with ℓ, so b rises to
+    one peak and then falls.  If b(2) >= tol, every ℓ before the answer
+    fails the test and every ℓ after it passes, so the answer is found by
+    bisection.
+    """
+
+    def meets(ell: int) -> bool:
+        return fold_bound(c, 0, ell + 1, n, t) < tol
+
+    if c == 0.0 or meets(1):
+        return 1
+    if not meets(_MAX_TERMS):
+        raise NonConvergenceError("term bound never meets the tolerance")
+    lo, hi = 1, _MAX_TERMS  # meets(lo) is false, meets(hi) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     """The full discrete series F = Σ (−1)^ℓ (LH)^{*ℓ}, solved directly.
 
@@ -226,11 +256,7 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     n_eff = max(1, len(supp))
     c_emp = 1.1 * float(np.abs(lh_s).max(initial=0.0))
 
-    terms_used = 1
-    while c_emp > 0.0 and fold_bound(c_emp, 0, terms_used + 1, n_eff, t_max) >= tol:
-        terms_used += 1
-        if terms_used > 10_000_000:
-            raise NonConvergenceError("term bound never meets the tolerance")
+    terms_used = series_terms(c_emp, n_eff, t_max, tol)
     tail = 0.0
     for ell in range(terms_used + 1, terms_used + 500):
         b = fold_bound(c_emp, 0, ell, n_eff, t_max)

@@ -221,6 +221,15 @@ def term_by_term_series(p, tol: float, max_terms: int = 10000):
     return f_s
 
 
+def linear_scan_terms(c: float, n: int, t: float, tol: float) -> int:
+    """Reference for ``series_terms``: ℓ counted up from 1 until the bound
+    on term ℓ + 1 drops below ``tol``."""
+    ell = 1
+    while c > 0.0 and fold_bound(c, 0, ell + 1, n, t) >= tol:
+        ell += 1
+    return ell
+
+
 def full_rows(p, rows):
     """The (M+1, n, n) array whose rows on ``p.support`` are ``rows`` (the
     support rows of a heat image or correction series) and zero elsewhere."""

@@ -28,10 +28,6 @@ from conftest import first_variable_parametrix, full_mode_parametrix
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
-# exact overshoot amplitude for the calibrated quintic band, from the
-# closed-form quadratic (plateau + band moments integrated symbolically)
-EXACT_AMPLITUDE = 2.0122388733928056
-
 
 def fine_integral(f, a, b, panels=200_000):
     xs = np.linspace(a, b, panels + 1)
@@ -121,7 +117,7 @@ class TestBumps:
         bumps = build_bumps(cells)
         c = cells[0]
         inner = np.linspace(c.a + c.delta, c.b - c.delta, 101)
-        assert np.abs(bumps.evaluate(0, inner) - 1.0).max() == 0.0
+        assert np.abs(bumps.evaluate(0, inner) - bumps.amplitudes[0]).max() == 0.0
         near_edge = np.linspace(c.a, c.a + c.delta / 2, 51)
         assert np.abs(bumps.evaluate(0, near_edge)).max() == 0.0
 
@@ -135,11 +131,15 @@ class TestBumps:
             assert float(ws @ (eta * eta)) == pytest.approx(cell.measure, rel=1e-13)
 
     def test_amplitude_matches_exact_root(self):
-        # uniform geometry: the calibrated amplitude has a closed form
+        # ∫η² = A²·(μ − 2δ + (δ/2)·2·∫₀¹smoothstep²) with ∫₀¹smoothstep² =
+        # 181/462, so A = √(μ / (μ − 2δ + (181/462)·δ)) = 1.148010874845431
+        # for cells [0, 0.5] and [0.5, 1] with δ = 0.075
         cells = build_voronoi([0.25, 0.75], 1.0, 0.3)
         bumps = build_bumps(cells)
-        for amp in bumps.amplitudes:
-            assert amp == pytest.approx(EXACT_AMPLITUDE, abs=2e-6)
+        for cell, amp in zip(cells, bumps.amplitudes):
+            mu, delta = cell.measure, cell.delta
+            exact = math.sqrt(mu / (mu - 2.0 * delta + (181.0 / 462.0) * delta))
+            assert amp == pytest.approx(exact, abs=2e-6)
 
 
 class TestAveragedParametrix:
@@ -160,6 +160,19 @@ class TestAveragedParametrix:
         h0 = self.sample_at(t0)
         assert np.abs(np.diag(h0) - 1.0).max() <= 0.02
         assert np.abs(h0 - np.diag(np.diag(h0))).max() <= 0.02
+
+    def test_criterion_7_gate_at_32768_steps(self):
+        # criterion 7 runs 262144 steps; the flat-top bump meets its 1e-3
+        # gate from 8× fewer, and its Dirac defect (0.0035) is well inside
+        # criterion 7's 0.02
+        h0 = self.sample_at(1e-4 / math.pi**2)
+        off = h0 - np.diag(np.diag(h0))
+        assert max(np.abs(np.diag(h0) - 1.0).max(), np.abs(off).max()) <= 0.005
+        grid = TimeGrid(0.5, 32768)
+        p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
+        k = embed_heat_kernel(p, self.g, 1e-8)
+        spectral = sample_closed_form(spectral_kernel(self.g), grid)
+        assert compare_kernels(k, spectral, grid.nodes).sup_error <= 1e-3
 
     def test_symmetric_normalization_is_symmetric(self):
         grid = TimeGrid(0.5, 8)
@@ -290,6 +303,19 @@ class TestEmbeddedKernel:
         hg = embed_heat_kernel(p, g, 1e-8)
         sp = sample_closed_form(spectral_kernel(g), grid)
         assert compare_kernels(hg, sp, grid.nodes).sup_error <= 8e-3
+
+    def test_halving_dt_cuts_the_error_fourfold(self):
+        # the embed-refine benchmark's check: t <= 0.25 at 8192 and 16384
+        # steps against the spectral oracle, second order in dt
+        g, cells, bumps, dom = interval_case()
+        errors = []
+        for steps in (8192, 16384):
+            grid = TimeGrid(0.25, steps)
+            k = embed_heat_kernel(averaged_parametrix(dom, cells, bumps, grid, g), g, 1e-8)
+            spectral = sample_closed_form(spectral_kernel(g), grid)
+            errors.append(compare_kernels(k, spectral, grid.nodes).sup_error)
+        assert errors[0] <= 6e-3 and errors[1] <= 1.5e-3
+        assert errors[0] / errors[1] >= 3.5
 
     def test_normalizations_agree(self):
         g = WeightedGraph.path(3)

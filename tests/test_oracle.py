@@ -1,10 +1,12 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heatpar.documents import parse_document
+from heatpar.documents import load_document, parse_document
 from heatpar.errors import ContractViolation, NumericalBudgetError
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import (
@@ -16,6 +18,8 @@ from heatpar.oracle import (
 from heatpar.series import TimeGrid, sample_closed_form
 
 from conftest import lattice_hole_document, random_graph, sequential_jacobi_eigh
+
+CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 # hand eigendecomposition of the unit 3-path Laplacian: eigenvalues 0, 1, 3
 # with first-vertex weights 1/3, 1/2, 1/6
@@ -166,8 +170,21 @@ class TestExpm:
         ],
     )
     def test_overflow_is_refused(self, t, match):
+        # two disjoint unit edges: |Δ| as on K2, and a second null mode (+1
+        # on one edge, −1 on the other) that keeps the row sums, so the
+        # projection after each squaring leaves its roundoff free to grow
+        w = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalBudgetError, match=match):
-            expm_heat_kernel(WeightedGraph.complete(2), t)
+            expm_heat_kernel(WeightedGraph(w), t)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CASES)))
+    @pytest.mark.parametrize("t", [1e6, 1e12])
+    def test_exact_at_large_time(self, name, t):
+        g = load_document(os.path.join(CASES, name)).graph
+        lam, v = np.linalg.eigh(g.laplacian_matrix())
+        lam[np.abs(lam) <= 1e-9] = 0.0  # the null eigenvalues are exactly zero
+        exact = (v * np.exp(-t * lam)) @ v.T
+        assert np.abs(expm_heat_kernel(g, t) - exact).max() <= 1e-12
 
 
 class TestCompareKernels:
@@ -189,6 +206,21 @@ class TestCompareKernels:
         assert not report.within_budget
         assert report.first_over_budget == 1.0
         assert report.argmax_time == 1.0
+
+    def test_bounded_memory(self):
+        # the dirichlet-verify shapes: the per-time maxima are taken a block
+        # of times at a time, never on a whole-stack difference (27 MB)
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 2001, 41, 41))
+        times = np.linspace(0.0, 2.0, 2001)
+        tracemalloc.start()
+        try:
+            rep = compare_kernels(a, b, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.array_equal(rep.per_time_error, np.abs(a - b).reshape(2001, -1).max(axis=1))
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,11 +30,18 @@ from heatpar.parametrix import (
     heat_kernel_via_parametrix,
     neumann_series,
     restriction_parametrix,
+    series_terms,
     subgraph_kernel_closed_form,
 )
 from heatpar.series import TimeGrid, convolve_values, sample_closed_form
 
-from conftest import full_rows, lattice_hole_document, random_graph, term_by_term_series
+from conftest import (
+    full_rows,
+    lattice_hole_document,
+    linear_scan_terms,
+    random_graph,
+    term_by_term_series,
+)
 
 
 def k5_minus_edge():
@@ -274,7 +282,7 @@ class TestNeumannSeries:
 
     def test_coarse_grid_refused(self):
         with pytest.raises(NonConvergenceError, match="refine the time grid"):
-            neumann_series(path3_interval_parametrix(1024), 1e-8)
+            neumann_series(path3_interval_parametrix(155), 1e-8)
 
     def test_zero_heat_image(self):
         g = WeightedGraph(np.zeros((3, 3)))
@@ -300,6 +308,26 @@ class TestNeumannSeries:
         a = assemble_heat_kernel(p, neumann_series(p, tol))
         b = assemble_heat_kernel(p, neumann_series(p, tol / 10.0))
         assert np.abs(a - b).max() <= 10.0 * tol
+
+    def test_term_count_matches_linear_scan(self):
+        checked = 0
+        for c in np.logspace(-3, 2, 16):
+            for n in (1, 2, 3, 8, 41):
+                for t in (1e-3, 0.05, 0.5, 2.0):
+                    for tol in (1e-4, 1e-8, 1e-12):
+                        assert series_terms(c, n, t, tol) == linear_scan_terms(c, n, t, tol)
+                        checked += 1
+        assert checked == 960
+
+    def test_term_guard_is_fast(self):
+        # c·n·t = 2.2e8: the bound peaks far beyond the 10M-term cap, which a
+        # term-by-term scan would take about 15 s to reach
+        g = WeightedGraph(np.array([[0.0, 1e8], [1e8, 0.0]]))
+        p = diagonal_parametrix(g, TimeGrid(1.0, 4))
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="never meets the tolerance"):
+            neumann_series(p, 1e-8)
+        assert time.perf_counter() - start < 1.0
 
     def test_t_operator_iterates_match_b_matrix(self):
         # H~ * (LH)^{*l} equals (-1)^l t^l/l! e^{-Nt} B^l for the complete

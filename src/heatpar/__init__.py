@@ -28,7 +28,6 @@ _EXPORTS = {
         "averaged_parametrix",
         "build_bumps",
         "build_voronoi",
-        "embed_heat_kernel",
         "modes_for_time",
         "series_tail_bound",
     ),
@@ -37,6 +36,7 @@ _EXPORTS = {
         "WeightedGraph",
         "adjacency_complement",
         "boundary_sets",
+        "connected_components",
     ),
     "oracle": (
         "OracleReport",

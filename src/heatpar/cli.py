@@ -5,10 +5,15 @@
     heatpar identity --name watson|intro|halfline-special-1|halfline-special-2 [...]
     heatpar export   --graph FILE [...]
 
-Exit codes: 0 success, 2 input error, 3 numerical budget exceeded, which
-includes a kernel provably wrong by its half-asymmetry (refine the time
-grid).  Output is deterministic: rows are time-major (then first vertex,
-then second), CSV carries 17 significant digits, JSON is emitted with sorted
+Methods are the keys of ``methods.METHODS``; this module parses the
+arguments, applies the refusals and writes the output.  Exit codes: 0
+success, 2 input error, 3 numerical budget exceeded, which includes a
+kernel provably more than 0.1 from the exact one by any of three lower
+bounds on its sup error (refine the time grid): half the sup of |K − Kᵀ|,
+the distance of an entry from [0, 1], and (row sum − 1)⁺/n.  Every exact
+kernel here is symmetric, has entries in [0, 1] and row sums at most 1.
+Output is deterministic: rows are time-major (then first vertex, then
+second), CSV carries 17 significant digits, JSON is emitted with sorted
 keys.  HEATPAR_THREADS, a positive integer (exit 2 otherwise), sets the
 numeric libraries' thread pools over any preset BLAS thread variables.
 """
@@ -21,24 +26,15 @@ import math
 import os
 import sys
 
+from .methods import METHODS
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-# largest accepted ½·sup|K − Kᵀ|; a kernel above it is refused with EXIT_BUDGET
-ASYMMETRY_LIMIT = 0.1
-
-METHODS = (
-    "spectral",
-    "expm",
-    "parametrix-restriction",
-    "parametrix-diagonal",
-    "parametrix-embed",
-    "dirichlet",
-    "closed-form-complete",
-    "closed-form-halfline",
-    "closed-form-halfline-dirichlet",
-)
+# largest accepted lower bound on a kernel's sup error (see _error_bounds);
+# a kernel above it is refused with EXIT_BUDGET
+ERROR_LIMIT = 0.1
 
 
 def _apply_thread_env():
@@ -125,128 +121,64 @@ def _emit_table(times, names, values, fmt: str, out: str | None, meta: dict):
     _write_chunks(out, _table_chunks(times, names, values, fmt, meta))
 
 
-def _ambient_closed_form(doc):
-    """Pick the ambient heat kernel: complete-graph or integer-line closed
-    forms when the structure matches, the ambient spectral kernel otherwise."""
-    from .bessel import z_window_kernel
-    from .documents import ambient_path_coordinates
-    from .graph import ambient_is_unit_complete
-    from .parametrix import ambient_spectral_kernel, complete_graph_kernel
-
-    e = doc.embedding
-    if ambient_is_unit_complete(e):
-        return complete_graph_kernel(e.ambient.n)
-    coords = ambient_path_coordinates(e)
-    if coords is not None and e.frontier:
-        return z_window_kernel(coords)
-    return ambient_spectral_kernel(e.ambient)
+# the proven lower bounds on sup|K − exact| that compute_kernel reads, in
+# the order _error_bounds returns them
+_BOUNDS = (
+    "half the sup of |K - K^T|",
+    "the distance of an entry from [0, 1]",
+    "(row sum - 1)+/n",
+)
 
 
-def _half_asymmetry(values) -> float:
-    """½·sup|K − Kᵀ| over all times, taken a block of times at a time.
+def _error_bounds(values) -> list[float]:
+    """½·sup|K − Kᵀ|, the distance of any entry from [0, 1], and
+    (row sum − 1)⁺/n, each over all times, taken a block of times at a time.
 
-    Every exact kernel here is symmetric, so this is a proven lower bound
-    on the sup error of ``values``; a non-finite entry makes it NaN or inf,
-    with no warning, so such a kernel is refused too."""
+    Every exact kernel here is symmetric, has entries in [0, 1] and row sums
+    at most 1 (Dirichlet and windowed kernels lose mass), so each is a
+    proven lower bound on the sup error of ``values``.  A non-finite entry
+    makes them inf, with no warning, so such a kernel is refused too."""
     import numpy as np
 
+    n = values.shape[-1]
     step = max(1, 65536 // values[0].size)
     blocks = (values[j : j + step] for j in range(0, len(values), step))
-    # K − Kᵀ is antisymmetric, so its largest entry is its sup norm
     with np.errstate(invalid="ignore", over="ignore"):
-        return 0.5 * float(np.max([(b - b.transpose(0, 2, 1)).max() for b in blocks]))
-
-
-def _dispatch(doc, method: str, grid, tol: float):
-    """Kernel values of one method on a document, one array (M+1, n, n)."""
-    import math
-
-    import numpy as np
-
-    from .bessel import halfline_dirichlet_closed_form, halfline_window_kernel
-    from .documents import halfline_coordinates
-    from .errors import ParseError
-    from .graph import SubgraphEmbedding, ambient_is_unit_complete
-    from .oracle import expm_heat_kernel, spectral_kernel
-    from .parametrix import (
-        diagonal_parametrix,
-        dirichlet_parametrix,
-        heat_kernel_via_parametrix,
-        restriction_parametrix,
-        subgraph_kernel_closed_form,
-    )
-    from .series import sample_closed_form
-
-    g = doc.graph
-    if method == "spectral":
-        return sample_closed_form(spectral_kernel(g), grid)
-    if method == "expm":
-        return np.stack([expm_heat_kernel(g, float(t)) for t in grid.nodes])
-    if method == "parametrix-diagonal":
-        return heat_kernel_via_parametrix(diagonal_parametrix(g, grid), tol)
-    if method in ("parametrix-restriction", "dirichlet"):
-        if doc.embedding is None:
-            raise ParseError(f"{method} needs an ambient block")
-        build = dirichlet_parametrix if method == "dirichlet" else restriction_parametrix
-        p = build(doc.embedding, _ambient_closed_form(doc), grid)
-        return heat_kernel_via_parametrix(p, tol)
-    if method == "parametrix-embed":
-        if not doc.positions:
-            raise ParseError("parametrix-embed needs a positions block")
-        from .embed1d import (
-            IntervalDomain,
-            averaged_parametrix,
-            build_bumps,
-            build_voronoi,
-            embed_heat_kernel,
-            modes_for_time,
-        )
-
-        length = float(doc.interval.get("length", 1.0))
-        # certify the sine tail at the Dirac-probe time scale; the truncated
-        # series is itself the parametrix being corrected, so finer time
-        # grids do not demand more modes
-        probe = 1e-4 * length**2 / math.pi**2
-        n_modes = doc.interval.get("modes", modes_for_time(length, probe, 1e-10))
-        quad_points = doc.interval.get("quad_points", 1600)
-        delta_fraction = float(doc.interval.get("delta_fraction", 0.49))
-        dom = IntervalDomain(length=length, n_modes=n_modes, quad_points=quad_points)
-        cells = build_voronoi(doc.position_list(), length, delta_fraction)
-        bumps = build_bumps(cells, quad_points)
-        p = averaged_parametrix(dom, cells, bumps, grid, g)
-        return embed_heat_kernel(p, g, tol)
-    if method == "closed-form-complete":
-        e = doc.embedding or SubgraphEmbedding.trivial(g)
-        if not ambient_is_unit_complete(e):
-            raise ParseError("closed-form-complete needs a unit-weight complete graph or ambient")
-        return sample_closed_form(subgraph_kernel_closed_form(e), grid)
-    if method in ("closed-form-halfline", "closed-form-halfline-dirichlet"):
-        coords = halfline_coordinates(doc)
-        if coords is None:
-            raise ParseError(f"{method} needs a half-line window embedding")
-        if method == "closed-form-halfline":
-            kernel = halfline_window_kernel(coords)
-        else:
-            kernel = halfline_dirichlet_closed_form(coords)
-        return sample_closed_form(kernel, grid)
-    raise ParseError(f"unknown method {method!r}")
+        # K − Kᵀ is antisymmetric, so its largest entry is its sup norm
+        per_block = [
+            (
+                0.5 * (b - b.transpose(0, 2, 1)).max(),
+                np.max([b.max() - 1.0, -b.min()]),
+                (b.sum(axis=2).max() - 1.0) / n,
+            )
+            for b in blocks
+        ]
+        worst = np.maximum(np.max(per_block, axis=0), 0.0)
+    return np.where(np.isnan(worst), np.inf, worst).tolist()
 
 
 def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
-    """Run one method on a document; returns (times, names, values array).
+    """Run the method named ``method`` in ``methods.METHODS`` on a document;
+    returns (times, names, values array).
 
-    A kernel whose half-asymmetry exceeds ``ASYMMETRY_LIMIT`` is provably
-    that far from the exact kernel and is refused."""
-    from .errors import NumericalBudgetError
+    A kernel is refused when one of the three lower bounds of
+    ``_error_bounds`` exceeds ``ERROR_LIMIT``: it is provably that far from
+    the exact kernel."""
+    from .errors import NumericalBudgetError, ParseError
     from .series import TimeGrid
 
     grid = TimeGrid(t_max, steps)
-    values = _dispatch(doc, method, grid, tol)
-    asym = _half_asymmetry(values)
-    if not asym <= ASYMMETRY_LIMIT:
+    run = METHODS.get(method)
+    if run is None:
+        raise ParseError(f"unknown method {method!r}")
+    values = run(doc, grid, tol)
+    bounds = _error_bounds(values)
+    bound, label = max(zip(bounds, _BOUNDS))
+    if not bound <= ERROR_LIMIT:
+        each = ", ".join(f"{lb} {b:.3e}" for lb, b in zip(_BOUNDS, bounds))
         raise NumericalBudgetError(
-            f"{method} kernel is at least {asym:.3e} from the exact kernel "
-            f"(half the sup of |K - K^T|, above {ASYMMETRY_LIMIT}); refine the time grid"
+            f"{method} kernel is at least {bound:.3e} from the exact kernel by {label}, "
+            f"above {ERROR_LIMIT} ({each}); refine the time grid"
         )
     return grid.nodes, doc.names, values
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalBudgetError, ResolutionError
+from .errors import ContractViolation, ResolutionError
 from .graph import WeightedGraph
-from .parametrix import Parametrix, assemble_heat_kernel, neumann_series
+from .parametrix import Parametrix
 from .series import TimeGrid
 
 
@@ -257,21 +257,3 @@ def averaged_parametrix(
         dh[j0 : j0 + chunk] = (w @ dpair[:live]).reshape(-1, nv, nv) * norm
     lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh  # LH = ΔH + ∂_t H
     return Parametrix(grid, h, tuple(range(nv)), lh)
-
-
-def embed_heat_kernel(p: Parametrix, g: WeightedGraph, tol: float) -> np.ndarray:
-    """Correct the averaged parametrix into the embedded graph's heat kernel
-    and sanity-check that the correction vanishes at the first grid node."""
-    if p.n != g.n:
-        raise ContractViolation("parametrix and graph sizes differ")
-    series = neumann_series(p, tol)
-    out = assemble_heat_kernel(p, series)
-    corr = out[1] - p.samples[1]
-    h_scale = float(np.abs(p.samples[1]).max())
-    limit = 4.0 * series.bound_constant * p.n * p.grid.dt * max(1.0, h_scale) + 1e-12
-    if np.abs(corr).max() > limit:
-        raise NumericalBudgetError(
-            f"correction at the first node is {np.abs(corr).max():.2e}, "
-            f"violating its O(t) bound {limit:.2e}"
-        )
-    return out

@@ -157,6 +157,25 @@ def ambient_is_unit_complete(e: SubgraphEmbedding) -> bool:
     return e.n == n and bool(np.array_equal(e.ambient.weights, np.ones((n, n)) - np.eye(n)))
 
 
+def connected_components(g: WeightedGraph) -> list[np.ndarray]:
+    """Vertex indices of each connected component, in increasing order and
+    in order of their smallest vertex, by a breadth-first search over the
+    positive weights."""
+    unseen = np.ones(g.n, dtype=bool)
+    parts = []
+    for start in range(g.n):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        part, frontier = [start], [start]
+        while frontier:
+            frontier = np.flatnonzero((g.weights[frontier] > 0).any(axis=0) & unseen).tolist()
+            unseen[frontier] = False
+            part += frontier
+        parts.append(np.sort(part))
+    return parts
+
+
 def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:
     """Ambient vertices adjacent to kept vertex ``v`` whose edge is missing in G.
 

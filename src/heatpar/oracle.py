@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, NumericalBudgetError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, connected_components
 from .series import ClosedFormKernel
 
 
@@ -120,7 +120,8 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
 
     At that norm the dropped Taylor tail is below 0.5^26/26! ≈ 4e−35, so
     the result is limited by roundoff, not truncation.  After each squaring
-    the row and column sums are set back to one and the result is
+    the entries between connected components are set to zero, the row and
+    column sums of each component back to one, and the result is
     symmetrized, so that roundoff does not grow with t.  A t·‖Δ‖ whose
     scaling 2^s is not a finite float, or squarings that overflow, are
     refused.
@@ -136,15 +137,19 @@ def expm_heat_kernel(g: WeightedGraph, t: float) -> np.ndarray:
         )
     s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
     core = _expm_taylor(a / 2.0**s)
+    parts = [np.ix_(idx, idx) for idx in connected_components(g)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            core = core @ core
-            # exp(−tΔ) is symmetric with unit row sums on every weighted
-            # graph; restoring both keeps the squarings from raising the
-            # core's roundoff to the power 2^s
-            r = core.sum(axis=1) - 1.0
-            core -= (r[:, None] + r[None, :]) / g.n - r.sum() / g.n**2
-            core = 0.5 * (core + core.T)
+            squared = core @ core
+            # exp(−tΔ) is symmetric, vanishes between connected components
+            # and has unit row sums on each; restoring all three keeps the
+            # squarings from raising the core's roundoff to the power 2^s
+            core = np.zeros_like(squared)
+            for block in parts:
+                c = squared[block]
+                r = c.sum(axis=1) - 1.0
+                c -= (r[:, None] + r[None, :]) / len(r) - r.sum() / len(r) ** 2
+                core[block] = 0.5 * (c + c.T)
     if not np.isfinite(core).all():
         raise NumericalBudgetError(f"expm at t={t:.6g} overflows in {s} squarings")
     return core

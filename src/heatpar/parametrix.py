@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NonConvergenceError
+from .errors import ContractViolation, NonConvergenceError, NumericalBudgetError
 from .graph import (
     SubgraphEmbedding,
     WeightedGraph,
@@ -307,8 +307,18 @@ def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> np.ndarr
 
 
 def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> np.ndarray:
-    """Run the full pipeline: Neumann series then assembly."""
-    return assemble_heat_kernel(p, neumann_series(p, tol))
+    """Neumann series then assembly; the correction at the first grid node
+    must be O(dt), as a heat image that is O(1) near t = 0 makes it."""
+    series = neumann_series(p, tol)
+    out = assemble_heat_kernel(p, series)
+    corr = float(np.abs(out[1] - p.samples[1]).max())
+    h_scale = max(1.0, float(np.abs(p.samples[1]).max()))
+    limit = 4.0 * series.bound_constant * p.n * p.grid.dt * h_scale + 1e-12
+    if corr > limit:
+        raise NumericalBudgetError(
+            f"correction at the first node is {corr:.2e}, violating its O(t) bound {limit:.2e}"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +360,8 @@ def b_matrix(e: SubgraphEmbedding) -> np.ndarray:
     b_xy = −1 exactly when the edge {x,y} was removed."""
     if not ambient_is_unit_complete(e):
         raise ContractViolation(
-            "operation requires all vertices kept inside a unit-weight complete graph"
+            "the complete-graph closed form needs a unit-weight complete graph, "
+            "or a unit-weight complete ambient with every vertex kept"
         )
     n = e.ambient.n
     b = np.zeros((n, n))

@@ -25,7 +25,6 @@ from heatpar.embed1d import (
     averaged_parametrix,
     build_bumps,
     build_voronoi,
-    embed_heat_kernel,
 )
 from heatpar.graph import SubgraphEmbedding, WeightedGraph
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel
@@ -233,8 +232,8 @@ def test_criterion_7_interval_embedding():
 
     grid = TimeGrid(0.5, 262_144)
     p = averaged_parametrix(dom, cells, bumps, grid, g)
-    symmetric = embed_heat_kernel(p, g, 1e-8)
-    first = embed_heat_kernel(first_variable_parametrix(p, cells, g), g, 1e-8)
+    symmetric = heat_kernel_via_parametrix(p, 1e-8)
+    first = heat_kernel_via_parametrix(first_variable_parametrix(p, cells, g), 1e-8)
     spectral = sample_closed_form(spectral_kernel(g), grid)
     sup = compare_kernels(symmetric, spectral, grid.nodes).sup_error
     between = float(np.abs(symmetric - first).max())

@@ -187,19 +187,58 @@ class TestKernelCommand:
         assert run_main(["export", "--graph", str(bad)]) == 2
         assert "edges[0]: weight" in capsys.readouterr().err
 
-    def test_method_requires_embedding(self, capsys):
-        status = run_main(
-            [
-                "kernel",
-                "--graph",
-                case("k2.json"),
-                "--method",
-                "parametrix-restriction",
-                "--steps",
-                "4",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "method,name",
+        [
+            ("parametrix-restriction", "k2.json"),
+            ("dirichlet", "k2.json"),
+            ("parametrix-embed", "k2.json"),
+            ("closed-form-halfline", "k5_minus_edge.json"),
+            ("closed-form-halfline-dirichlet", "k5_minus_edge.json"),
+            ("closed-form-complete", "path3_interval.json"),
+        ],
+    )
+    def test_method_requires_embedding(self, capsys, method, name):
+        # every table entry that reads a block refuses a document without it
+        status = run_main(["kernel", "--graph", case(name), "--method", method, "--steps", "4"])
         assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unknown_method_is_a_parse_error(self):
+        from heatpar.cli import compute_kernel
+        from heatpar.documents import load_document
+        from heatpar.errors import ParseError
+
+        with pytest.raises(ParseError, match="unknown method 'heat'"):
+            compute_kernel(load_document(case("k2.json")), "heat", 1.0, 4, 1e-8)
+
+    def test_every_table_entry_is_a_cli_choice(self, capsys):
+        from heatpar.methods import METHODS
+
+        with pytest.raises(SystemExit):
+            run_main(["kernel", "--graph", case("k2.json"), "--method", "heat"])
+        err = capsys.readouterr().err
+        assert all(f"'{name}'" in err for name in METHODS)
+
+    @pytest.mark.parametrize("steps", ["100", "200"])
+    def test_diagonal_kernel_out_of_range_exits_3(self, tmp_path, capsys, steps):
+        # dt·|LH| = 1 or 0.5 on K2: the kernel is symmetric but its diagonal
+        # at t = 100 reads 9586.2 or 4.36, where the exact value is 0.5
+        status = run_main(["kernel", "--graph", case("k2.json"), "--method",
+                           "parametrix-diagonal", "--t-max", "100", "--steps", steps,
+                           "--out", str(tmp_path / "k.csv")])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "by (row sum - 1)+/n" in err and "refine the time grid" in err
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_embed_first_node_bound_exits_3(self, tmp_path, capsys):
+        status = run_main(["kernel", "--graph", case("path3_interval.json"), "--method",
+                           "parametrix-embed", "--t-max", "0.5", "--steps", "128",
+                           "--out", str(tmp_path / "k.csv")])
+        assert status == 3
+        assert "O(t) bound" in capsys.readouterr().err
 
     def test_embed_on_coarse_grid_exits_3(self, tmp_path, capsys):
         status = run_main(
@@ -247,16 +286,49 @@ class TestKernelCommand:
         assert not (tmp_path / "k.csv").exists()
 
     def test_half_asymmetry_reads_every_block(self):
+        # and so do the range and row-sum bounds
         import numpy as np
 
-        from heatpar.cli import _half_asymmetry
+        from heatpar.cli import _error_bounds
 
         vals = np.zeros((3, 300, 300))  # one time per block
-        assert _half_asymmetry(vals) == 0.0
+        assert _error_bounds(vals) == [0.0, 0.0, 0.0]
         vals[2, 7, 250] = 0.3
-        assert _half_asymmetry(vals) == pytest.approx(0.15)
+        assert _error_bounds(vals) == pytest.approx([0.15, 0.0, 0.0])
+        vals[1, 5, 6] = -0.2
+        vals[1, 6, 5] = -0.2
+        assert _error_bounds(vals) == pytest.approx([0.15, 0.2, 0.0])
+        vals[0, 9, 9] = 1.6  # row sum 1.6, off [0, 1] by 0.6
+        assert _error_bounds(vals) == pytest.approx([0.15, 0.6, 0.6 / 300])
         vals[1, 4, 4] = np.nan  # refused by compute_kernel, never passed
-        assert np.isnan(_half_asymmetry(vals))
+        assert _error_bounds(vals) == [math.inf] * 3
+
+    @pytest.mark.parametrize(
+        "bound,entries",
+        [
+            ("half the sup of |K - K^T|", [(0, 1, 0.5), (1, 0, 0.2)]),  # 0.15
+            ("the distance of an entry from [0, 1]", [(0, 0, -0.11)]),  # below 0
+            ("the distance of an entry from [0, 1]", [(1, 1, 1.12), (0, 1, 0), (1, 0, 0)]),
+            ("(row sum - 1)+/n", [(0, 1, 0.85), (1, 0, 0.85)]),  # 0.3 over 2 vertices
+        ],
+    )
+    def test_each_bound_refuses(self, monkeypatch, capsys, bound, entries):
+        import numpy as np
+
+        from heatpar import methods
+
+        def wrong(doc, grid, tol):
+            vals = np.full((grid.steps + 1, 2, 2), 0.45)
+            for x, y, value in entries:
+                vals[-1, x, y] = value
+            return vals
+
+        monkeypatch.setitem(methods.METHODS, "spectral", wrong)
+        status = run_main(["kernel", "--graph", case("k2.json"), "--method", "spectral",
+                           "--steps", "4"])
+        assert status == 3
+        out = capsys.readouterr()
+        assert out.out == "" and f"exact kernel by {bound}, above 0.1" in out.err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [(0, 1, math.inf), (1, 0, -math.inf), (1, 1, math.inf)])
@@ -264,16 +336,16 @@ class TestKernelCommand:
         # off the diagonal and on it, where K − Kᵀ is inf − inf
         import numpy as np
 
-        from heatpar import cli
+        from heatpar import methods
 
         x, y, value = entry
 
-        def dispatch(doc, method, grid, tol):
+        def infinite(doc, grid, tol):
             vals = np.full((grid.steps + 1, 2, 2), 0.5)
             vals[-1, x, y] = value
             return vals
 
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        monkeypatch.setitem(methods.METHODS, "spectral", infinite)
         status = run_main(["kernel", "--graph", case("k2.json"), "--method", "spectral",
                            "--steps", "4"])
         assert status == 3
@@ -407,8 +479,9 @@ class TestEmitTable:
 
     @pytest.mark.slow
     def test_every_case_and_method_matches_reference(self, tmp_path):
-        from heatpar.cli import METHODS, compute_kernel
+        from heatpar.cli import compute_kernel
         from heatpar.documents import load_document
+        from heatpar.methods import METHODS
         from heatpar.errors import NumericalBudgetError
 
         from conftest import reference_emit_table

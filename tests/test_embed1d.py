@@ -14,7 +14,6 @@ from heatpar.embed1d import (
     averaged_parametrix,
     build_bumps,
     build_voronoi,
-    embed_heat_kernel,
     modes_for_time,
     series_tail_bound,
     smoothstep,
@@ -22,6 +21,7 @@ from heatpar.embed1d import (
 from heatpar.errors import ContractViolation, ResolutionError
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import compare_kernels, spectral_kernel
+from heatpar.parametrix import heat_kernel_via_parametrix
 from heatpar.series import TimeGrid, sample_closed_form
 
 from conftest import first_variable_parametrix, full_mode_parametrix
@@ -170,7 +170,7 @@ class TestAveragedParametrix:
         assert max(np.abs(np.diag(h0) - 1.0).max(), np.abs(off).max()) <= 0.005
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
-        k = embed_heat_kernel(p, self.g, 1e-8)
+        k = heat_kernel_via_parametrix(p, 1e-8)
         spectral = sample_closed_form(spectral_kernel(self.g), grid)
         assert compare_kernels(k, spectral, grid.nodes).sup_error <= 1e-3
 
@@ -290,7 +290,7 @@ class TestEmbeddedKernel:
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
         assert p.samples[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
-        hg = embed_heat_kernel(p, g, 1e-8)
+        hg = heat_kernel_via_parametrix(p, 1e-8)
         assert np.abs(hg - 1.0).max() <= 2e-3
 
     def test_path3_against_spectral(self):
@@ -300,7 +300,7 @@ class TestEmbeddedKernel:
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 65536)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
-        hg = embed_heat_kernel(p, g, 1e-8)
+        hg = heat_kernel_via_parametrix(p, 1e-8)
         sp = sample_closed_form(spectral_kernel(g), grid)
         assert compare_kernels(hg, sp, grid.nodes).sup_error <= 8e-3
 
@@ -311,7 +311,7 @@ class TestEmbeddedKernel:
         errors = []
         for steps in (8192, 16384):
             grid = TimeGrid(0.25, steps)
-            k = embed_heat_kernel(averaged_parametrix(dom, cells, bumps, grid, g), g, 1e-8)
+            k = heat_kernel_via_parametrix(averaged_parametrix(dom, cells, bumps, grid, g), 1e-8)
             spectral = sample_closed_form(spectral_kernel(g), grid)
             errors.append(compare_kernels(k, spectral, grid.nodes).sup_error)
         assert errors[0] <= 6e-3 and errors[1] <= 1.5e-3
@@ -324,7 +324,9 @@ class TestEmbeddedKernel:
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(dom, cells, bumps, grid, g)
-        hs = [embed_heat_kernel(q, g, 1e-8) for q in (p, first_variable_parametrix(p, cells, g))]
+        hs = [
+            heat_kernel_via_parametrix(q, 1e-8) for q in (p, first_variable_parametrix(p, cells, g))
+        ]
         assert np.abs(hs[0] - hs[1]).max() <= 5e-2
 
     def test_delta_robustness(self):
@@ -338,7 +340,7 @@ class TestEmbeddedKernel:
             cells = build_voronoi([0.17, 0.5, 0.83], 1.0, dfrac)
             bumps = build_bumps(cells)
             p = averaged_parametrix(dom, cells, bumps, grid, g)
-            results.append(embed_heat_kernel(p, g, 1e-8))
+            results.append(heat_kernel_via_parametrix(p, 1e-8))
         # budgets: ~2.4e-2 for the wide collar at this grid, about 8x that
         # for the halved collar (the layer energy scales like 1/delta^3)
         assert np.abs(results[0] - results[1]).max() <= 0.25

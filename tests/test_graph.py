@@ -12,6 +12,7 @@ from heatpar.graph import (
     WeightedGraph,
     adjacency_complement,
     boundary_sets,
+    connected_components,
 )
 
 from heatpar.documents import load_document, parse_document
@@ -55,6 +56,30 @@ class TestWeightedGraph:
     def test_degrees(self):
         g = WeightedGraph.path(3, weight=2.0)
         assert np.allclose(g.mu, [2.0, 4.0, 2.0])
+
+
+class TestConnectedComponents:
+    def test_examples(self):
+        def parts(g):
+            return [c.tolist() for c in connected_components(g)]
+
+        assert parts(WeightedGraph.path(4)) == [[0, 1, 2, 3]]
+        assert parts(WeightedGraph(np.zeros((3, 3)))) == [[0], [1], [2]]
+        g = WeightedGraph.from_edges(6, [(0, 4, 1.0), (4, 2, 0.5), (1, 5, 2.0)])
+        assert parts(g) == [[0, 2, 4], [1, 5], [3]]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_null_space_dimension(self, seed):
+        # the Laplacian's null space is spanned by the components' indicators
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.uniform(0.5, 2.0, (12, 12)) * (rng.random((12, 12)) < 0.15), 1)
+        g = WeightedGraph(w + w.T)
+        parts = connected_components(g)
+        assert sorted(np.concatenate(parts).tolist()) == list(range(12))
+        lam = np.linalg.eigvalsh(g.laplacian_matrix())
+        assert len(parts) == int((lam < 1e-9).sum())
+        for c in parts:
+            assert np.abs(g.laplacian_matrix()[:, c].sum(axis=1)).max() <= 1e-12
 
 
 class TestLaplacian:

@@ -166,16 +166,23 @@ class TestExpm:
         [
             (1e308, r"= inf at .* overflows the expm scaling"),  # t·‖Δ‖ = inf
             (1.5 * 2.0**1021, r"= 6\.741e\+307 .* overflows the expm scaling"),  # 2^s = inf
-            (1e20, "overflows in 69 squarings"),  # roundoff grows past the largest float
         ],
     )
     def test_overflow_is_refused(self, t, match):
-        # two disjoint unit edges: |Δ| as on K2, and a second null mode (+1
-        # on one edge, −1 on the other) that keeps the row sums, so the
-        # projection after each squaring leaves its roundoff free to grow
         w = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalBudgetError, match=match):
             expm_heat_kernel(WeightedGraph(w), t)
+
+    @pytest.mark.parametrize("t", [1e6, 1e12, 1e20])
+    def test_disconnected_graph_exact_at_large_time(self, t):
+        # two disjoint unit edges: a second null mode (+1 on one edge, −1 on
+        # the other) keeps the row sums of the whole matrix, so only the
+        # row sums of each component hold its roundoff down
+        w = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+        decay = math.exp(-2.0 * t)
+        edge = np.array([[1.0 + decay, 1.0 - decay], [1.0 - decay, 1.0 + decay]]) / 2.0
+        exact = np.kron(np.eye(2), edge)
+        assert np.abs(expm_heat_kernel(WeightedGraph(w), t) - exact).max() <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CASES)))
     @pytest.mark.parametrize("t", [1e6, 1e12])

@@ -15,7 +15,7 @@ from heatpar.embed1d import (
     build_voronoi,
     modes_for_time,
 )
-from heatpar.errors import ContractViolation, NonConvergenceError
+from heatpar.errors import ContractViolation, NonConvergenceError, NumericalBudgetError
 from heatpar.documents import load_document, parse_document
 from heatpar.graph import SubgraphEmbedding, WeightedGraph, boundary_sets
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel
@@ -33,6 +33,7 @@ from heatpar.parametrix import (
     series_terms,
     subgraph_kernel_closed_form,
 )
+from heatpar.methods import ambient_kernel
 from heatpar.series import TimeGrid, convolve_values, sample_closed_form
 
 from conftest import (
@@ -284,6 +285,13 @@ class TestNeumannSeries:
         with pytest.raises(NonConvergenceError, match="refine the time grid"):
             neumann_series(path3_interval_parametrix(155), 1e-8)
 
+    def test_first_node_bound_refused(self):
+        # dt·|LH| = 50/64 on K3 with weight 50: the series is solved, but
+        # the correction at t = dt is far above its O(dt) bound
+        p = diagonal_parametrix(WeightedGraph.complete(3, 50.0), TimeGrid(1.0, 64))
+        with pytest.raises(NumericalBudgetError, match="violating its O\\(t\\) bound"):
+            heat_kernel_via_parametrix(p, 1e-8)
+
     def test_zero_heat_image(self):
         g = WeightedGraph(np.zeros((3, 3)))
         p = diagonal_parametrix(g, TimeGrid(1.0, 8))
@@ -392,7 +400,7 @@ class TestCompleteGraphClosedForms:
     def test_b_matrix_trivial_and_errors(self):
         g = WeightedGraph.complete(4)
         assert np.array_equal(b_matrix(SubgraphEmbedding.trivial(g)), np.zeros((4, 4)))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="needs a unit-weight complete graph"):
             b_matrix(SubgraphEmbedding.trivial(WeightedGraph.path(4)))
 
     def test_subgraph_closed_form_examples(self):
@@ -583,18 +591,14 @@ class TestAssemblyMemory:
 
     @staticmethod
     def dirichlet_verify_setup():
-        from heatpar.cli import _ambient_closed_form
-
         cases = os.path.join(os.path.dirname(__file__), "..", "cases")
-        doc = load_document(os.path.join(cases, "halfline_w40.json"))
-        return dirichlet_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(2.0, 2000))
+        e = load_document(os.path.join(cases, "halfline_w40.json")).embedding
+        return dirichlet_parametrix(e, ambient_kernel(e), TimeGrid(2.0, 2000))
 
     @staticmethod
     def lattice_with_hole():
-        from heatpar.cli import _ambient_closed_form
-
-        doc = parse_document(json.dumps(lattice_hole_document(seed=1)))
-        p = restriction_parametrix(doc.embedding, _ambient_closed_form(doc), TimeGrid(1.0, 250))
+        e = parse_document(json.dumps(lattice_hole_document(seed=1))).embedding
+        p = restriction_parametrix(e, ambient_kernel(e), TimeGrid(1.0, 250))
         assert p.n == 77
         return p
 

@@ -135,7 +135,8 @@ def bessel_tail_bound(n: int, x: float) -> float:
 def _lattice_kernel(family: str, coords, reflect: int | None = None, sign: float = 1.0):
     """Kernel e^{−2t}(I_{|x−y|}(2t) + sign·I_{x+y+reflect}(2t)) between the
     lattice coordinates ``coords``, the reflected term left out when
-    ``reflect`` is None; one recurrence row per sample time."""
+    ``reflect`` is None.  The factors of a time are one recurrence row
+    I_0..I_top(2t) and then e^{−2t}."""
     c = np.asarray(coords, dtype=int)
     dist = np.abs(c[:, None] - c[None, :])
     refl = None
@@ -145,16 +146,18 @@ def _lattice_kernel(family: str, coords, reflect: int | None = None, sign: float
         refl = c[:, None] + c[None, :] + reflect
     top = int((dist if refl is None else refl).max())
 
-    def sample(times: np.ndarray) -> np.ndarray:
-        x = 2.0 * np.asarray(times, dtype=float)
-        rows = besseli_row(top, x)
-        vals = rows[:, dist]
+    def factors(times: np.ndarray) -> np.ndarray:
+        x = 2.0 * times
+        return np.column_stack([besseli_row(top, x), np.exp(-x)])
+
+    def expand(f: np.ndarray) -> np.ndarray:
+        vals = f[:, dist]
         if refl is not None:
-            vals += (sign * rows)[:, refl]
-        vals *= np.exp(-x)[:, None, None]
+            vals += (sign * f)[:, refl]
+        vals *= f[:, -1, None, None]
         return vals
 
-    return ClosedFormKernel(family, c.size, sample)
+    return ClosedFormKernel(family, c.size, factors, expand)
 
 
 def z_window_kernel(offsets) -> ClosedFormKernel:

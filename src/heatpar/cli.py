@@ -53,6 +53,36 @@ def _apply_thread_env():
         os.environ[var] = str(count)
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_block_memory():
+    """On glibc, keep the pages of freed time blocks for the next block.
+
+    Each block loop (sampling, the FFT series products, the checks) frees a
+    block's temporaries together, several arrays of up to 4 MB, and
+    allocates them again for the next block.  glibc returns the top of its
+    heap to the system once more than its trim threshold is free there,
+    and by default that threshold is twice the largest mapped array freed
+    so far, so each block's pages were given back and faulted in again.
+    Fixed thresholds keep arrays below 8 MB (two 4 MB spectrum blocks) on
+    the heap and up to 32 MB of free pages at its top; (M+1, n, n) kernels
+    above 8 MB are still mapped and returned when freed."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # each returns 0 when glibc refuses the value, which leaves its default
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -61,9 +91,10 @@ def _json_number(x: float) -> str:
     return json.dumps(float(x))
 
 
-# values per block of a streamed kernel table: a table is formatted and
-# written a block of time nodes at a time, so its text is never held whole
-_TABLE_BLOCK = 1 << 16
+# a formatted value weighs far more than the double it came from: its float
+# object, then its text twice (the rows, then the joined chunk); a table
+# takes blocks of time nodes sized as if each value were this many doubles
+_TEXT_WEIGHT = 4
 
 
 def _write_chunks(path: str | None, chunks):
@@ -79,7 +110,8 @@ def _write_text(path: str | None, text: str):
 
 
 def _table_chunks(times, names, values, fmt: str, meta: dict):
-    """The text of a kernel table, one block of time nodes at a time.
+    """The text of a kernel table, one block of time nodes at a time, so the
+    text is never held whole.
 
     Each time node is formatted once and interleaved with its values by a
     per-node template of one row per vertex pair, names escaped for %.  The
@@ -88,6 +120,8 @@ def _table_chunks(times, names, values, fmt: str, meta: dict):
     it, and numbers take float.__repr__ or json's non-finite spelling.
     """
     import numpy as np
+
+    from .series import time_blocks
 
     if fmt == "csv":
         row, sep, quote, stamp = "%s,{},{},%.17g\n", "", str, _fmt
@@ -100,19 +134,18 @@ def _table_chunks(times, names, values, fmt: str, meta: dict):
     esc = [quote(nm).replace("%", "%%") for nm in names]
     template = sep.join(row.format(xn, yn) for xn in esc for yn in esc)
     npairs = len(esc) ** 2
-    step = max(1, _TABLE_BLOCK // npairs)
     args = [None] * (2 * npairs)
-    for j in range(0, len(times), step):
-        block = values[j : j + step].reshape(-1, npairs)
+    for s in time_blocks(len(times), _TEXT_WEIGHT * npairs):
+        block = values[s].reshape(-1, npairs)
         rows = block.tolist()
         if sep and not np.isfinite(block).all():
             rows = [[v if math.isfinite(v) else _json_number(v) for v in r] for r in rows]
         texts = []
-        for t, r in zip(times[j : j + step], rows):
+        for t, r in zip(times[s], rows):
             args[0::2] = [stamp(t)] * npairs
             args[1::2] = r
             texts.append(template % tuple(args))
-        yield (sep if j else "") + sep.join(texts)
+        yield (sep if s.start else "") + sep.join(texts)
     if sep:
         yield "\n ]\n}\n"
 
@@ -140,9 +173,10 @@ def _error_bounds(values) -> list[float]:
     makes them inf, with no warning, so such a kernel is refused too."""
     import numpy as np
 
+    from .series import time_blocks
+
     n = values.shape[-1]
-    step = max(1, 65536 // values[0].size)
-    blocks = (values[j : j + step] for j in range(0, len(values), step))
+    blocks = (values[s] for s in time_blocks(len(values), values[0].size))
     with np.errstate(invalid="ignore", over="ignore"):
         # K − Kᵀ is antisymmetric, so its largest entry is its sup norm
         per_block = [
@@ -357,6 +391,7 @@ def main(argv=None) -> int:
 
     try:
         _apply_thread_env()
+        _keep_block_memory()
         return args.func(args)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

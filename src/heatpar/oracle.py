@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalBudgetError
 from .graph import WeightedGraph, connected_components
-from .series import ClosedFormKernel
+from .series import ClosedFormKernel, time_blocks
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -95,14 +95,21 @@ def spectral_decomposition(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
-    """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ from the Laplacian eigensystem."""
+    """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ from the Laplacian eigensystem.
+
+    The c smallest eigenvalues, c the number of connected components, are
+    set to exactly 0, so the kernel tends to the projection onto the
+    locally constant vectors at large t, however the eigensolver rounds
+    them.  Each time's matrix is its own product, so its values do not
+    depend on the other times sampled with it."""
     lam, v = spectral_decomposition(g)
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        w = np.exp(-np.outer(times, lam))  # (T, n)
-        return np.einsum("ab,jb,cb->jac", v, w, v, optimize=True)
-
-    return ClosedFormKernel("spectral", g.n, sample)
+    lam[: len(connected_components(g))] = 0.0
+    return ClosedFormKernel(
+        "spectral",
+        g.n,
+        lambda times: np.exp(-np.outer(times, lam)),
+        lambda w: (v * w[:, None, :]) @ v.T,
+    )
 
 
 def _expm_taylor(a: np.ndarray, terms: int = 25) -> np.ndarray:
@@ -193,14 +200,13 @@ def compare_kernels(a, b, times: Sequence[float], budget: float | None = None) -
         raise ContractViolation(f"kernel shapes differ: {va.shape} vs {vb.shape}")
     if len(times) != va.shape[0]:
         raise ContractViolation("time axis does not match the kernel stacks")
-    # per-time maxima a block of times at a time, so the difference never
-    # holds more than about 65536 entries
+    # per-time maxima a block of times at a time, so the difference is never
+    # held whole
     per_time = np.empty(va.shape[0])
-    step = max(1, 65536 // max(1, math.prod(va.shape[1:])))
-    for j in range(0, len(per_time), step):
-        d = va[j : j + step] - vb[j : j + step]
+    for s in time_blocks(len(per_time), math.prod(va.shape[1:])):
+        d = va[s] - vb[s]
         np.abs(d, out=d)
-        per_time[j : j + step] = d.reshape(len(d), -1).max(axis=1)
+        per_time[s] = d.reshape(len(d), -1).max(axis=1)
     sup = float(per_time.max()) if per_time.size else 0.0
     argmax = float(times[int(per_time.argmax())]) if per_time.size else 0.0
     first_over = None

@@ -27,6 +27,7 @@ from .graph import (
     adjacency_complement,
     ambient_is_unit_complete,
     boundary_sets,
+    connected_components,
 )
 from .oracle import jacobi_eigh
 from .series import (
@@ -112,8 +113,9 @@ def restriction_parametrix(
         LH(v1, v2; t) = −Σ_{v ∈ A(v1)} (H̃(v1, v2; t) − H̃(v, v2; t)) w̃_{v1 v},
 
     which is supported on the subgraph boundary in the first variable.  The
-    ambient kernel is sampled once; every boundary row of LH comes from one
-    product of those samples with the missing-neighbor weights.
+    ambient kernel is sampled a block of times at a time; H and every
+    boundary row of LH, one product with the missing-neighbor weights, are
+    read from each block, so the ambient samples are never held whole.
     ``ambient_kernel`` must be the heat kernel of ``e.ambient`` (for windows
     of an infinite graph: of the infinite graph, with window truncation
     certified separately).
@@ -128,10 +130,14 @@ def restriction_parametrix(
         missing = sorted(adjacency_complement(e, v1))
         coupling[i, missing] = e.ambient.weights[v1, missing]
         coupling[i, v1] = -coupling[i].sum()
-    amb = sample_closed_form(ambient_kernel, grid)
-    h = amb[:, kept[:, None], kept[None, :]]
+    h, lh = sample_closed_form(
+        ambient_kernel,
+        grid,
+        lambda amb: amb[:, kept[:, None], kept[None, :]],
+        lambda amb: (coupling @ amb)[:, :, kept],
+    )
     support = tuple(e.subgraph_index(v) for v in boundary)
-    return Parametrix(grid, h, support, (coupling @ amb)[:, :, kept])
+    return Parametrix(grid, h, support, lh)
 
 
 def dirichlet_parametrix(
@@ -148,6 +154,8 @@ def dirichlet_parametrix(
       * elsewhere:         0,
 
     that is one coupling-matrix product with the restricted ambient samples.
+    Only the kept rows and columns of each block of ambient samples are
+    stored.
     """
     if ambient_kernel.n != e.ambient.n:
         raise ContractViolation("ambient kernel size does not match ambient graph")
@@ -160,7 +168,9 @@ def dirichlet_parametrix(
     coupling[np.ix_(boundary, interior)] = -w[np.ix_(boundary, interior)]
     coupling[np.ix_(second, boundary)] = w[np.ix_(second, boundary)]
     support = np.union1d(boundary, second)
-    h = sample_closed_form(ambient_kernel, grid)[:, kept[:, None], kept[None, :]]
+    h = sample_closed_form(
+        ambient_kernel, grid, lambda amb: amb[:, kept[:, None], kept[None, :]]
+    )[0]
     lh = coupling[support] @ h  # before the boundary rows of h are zeroed
     h[:, boundary, :] = 0.0
     return Parametrix(grid, h, tuple(support.tolist()), lh)
@@ -333,26 +343,30 @@ def complete_graph_kernel(n: int) -> ClosedFormKernel:
         raise ContractViolation("complete graph needs at least 1 vertex")
     diag = np.arange(n)
 
-    def sample(times: np.ndarray) -> np.ndarray:
-        decay = np.exp(-n * np.asarray(times, dtype=float))
+    def expand(f: np.ndarray) -> np.ndarray:
+        decay = f[:, 0]
         vals = np.empty((decay.size, n, n))
         vals[:] = (1.0 / n - decay / n)[:, None, None]
         vals[:, diag, diag] = (1.0 / n + (1.0 - 1.0 / n) * decay)[:, None]
         return vals
 
-    return ClosedFormKernel("complete-graph", n, sample)
+    return ClosedFormKernel("complete-graph", n, lambda times: np.exp(-n * times)[:, None], expand)
 
 
 def ambient_spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
     """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ of a finite graph, for ambients
     with no closed form.  It uses LAPACK's symmetric eigensolver, so the
-    Jacobi-based ``spectral`` oracle stays independent of it."""
+    Jacobi-based ``spectral`` oracle stays independent of it.  The c
+    smallest eigenvalues, c the number of connected components, are set to
+    exactly 0, so the kernel is exact at large t too."""
     lam, v = np.linalg.eigh(g.laplacian_matrix())
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        return (v * np.exp(-np.outer(times, lam))[:, None, :]) @ v.T
-
-    return ClosedFormKernel("ambient-spectral", g.n, sample)
+    lam[: len(connected_components(g))] = 0.0
+    return ClosedFormKernel(
+        "ambient-spectral",
+        g.n,
+        lambda times: np.exp(-np.outer(times, lam)),
+        lambda w: (v * w[:, None, :]) @ v.T,
+    )
 
 
 def b_matrix(e: SubgraphEmbedding) -> np.ndarray:
@@ -383,10 +397,13 @@ def subgraph_kernel_closed_form(e: SubgraphEmbedding) -> ClosedFormKernel:
     complete = complete_graph_kernel(n)
     diag = np.arange(n)
 
-    def sample(times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        etb = (v * np.exp(np.outer(times, lam))[:, None, :]) @ v.T
-        etb[:, diag, diag] -= 1.0
-        return complete.sample(times) + np.exp(-n * times)[:, None, None] * etb
+    def factors(times: np.ndarray) -> np.ndarray:
+        # exp(λ t) for each eigenvalue of B, then the complete graph's e^{−Nt}
+        return np.column_stack([np.exp(np.outer(times, lam)), complete.factors(times)])
 
-    return ClosedFormKernel("complete-graph-minus-edges", n, sample)
+    def expand(f: np.ndarray) -> np.ndarray:
+        etb = (v * f[:, None, :-1]) @ v.T
+        etb[:, diag, diag] -= 1.0
+        return complete.expand(f[:, -1:]) + f[:, -1, None, None] * etb
+
+    return ClosedFormKernel("complete-graph-minus-edges", n, factors, expand)

@@ -45,15 +45,23 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ClosedFormKernel:
-    """Analytically evaluable n×n kernel, sampled over many times at once.
+    """Analytically evaluable n×n kernel, sampled over a block of times.
 
-    ``sample`` maps a 1-D array of T times to the (T, n, n) kernel values;
-    :func:`sample_closed_form` is the grid sampler built on it.
+    ``factors`` maps a 1-D array of T times to a (T, k) array: the few
+    numbers per time that the kernel is built from, such as Bessel values
+    or decay exponentials.  ``expand`` maps any block of those rows to the
+    (T, n, n) kernel values, each time's from its own row alone.
+    :func:`sample_closed_form`, the grid sampler, computes the factors once
+    and expands them a block of times at a time.
     """
 
     family: str
     n: int
-    sample: Callable[[np.ndarray], np.ndarray]
+    factors: Callable[[np.ndarray], np.ndarray]
+    expand: Callable[[np.ndarray], np.ndarray]
+
+    def sample(self, times) -> np.ndarray:
+        return self.expand(self.factors(np.asarray(times, dtype=float)))
 
     def at(self, t: float) -> np.ndarray:
         return self.sample(np.array([float(t)]))[0]
@@ -66,9 +74,19 @@ def next_fast_len(target: int) -> int:
     return min(p << (-(-target // p) - 1).bit_length() for p in odd)
 
 
-# complex entries in one block's spectrum product; a product never holds
-# more of its spectrum at once than this, however many rows it has
+# entries in one block: a product never holds more of its spectrum at once
+# than this, however many rows it has, and a loop over time nodes (sampling,
+# the CLI's bounds and tables, kernel comparison) takes about this many
+# values per block
 _BLOCK_ENTRIES = 1 << 18
+
+
+def time_blocks(count: int, per_time: int) -> list[slice]:
+    """Consecutive slices covering ``count`` time nodes, each of about
+    ``_BLOCK_ENTRIES`` values at ``per_time`` values per node, and at least
+    one node."""
+    step = max(1, _BLOCK_ENTRIES // max(1, per_time))
+    return [slice(j, j + step) for j in range(0, count, step)]
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, m: int, halved: bool = False) -> np.ndarray:
@@ -139,14 +157,33 @@ def fold_bound(c: float, k: int, ell: int, n: int, t: float) -> float:
     return math.exp(log_b) if log_b < 700.0 else math.inf
 
 
-def sample_closed_form(kernel: ClosedFormKernel, grid: TimeGrid) -> np.ndarray:
-    """Sample a closed-form kernel at every grid node in one call; the
-    (M+1, n, n) values are checked finite."""
-    vals = np.asarray(kernel.sample(grid.nodes), dtype=float)
-    if not np.isfinite(vals).all():
-        j, x, y = np.argwhere(~np.isfinite(vals))[0]
-        raise SamplingError(
-            f"{kernel.family} kernel returned a non-finite value at "
-            f"(x={x}, y={y}, t={grid.nodes[j]})"
-        )
-    return vals
+def sample_closed_form(
+    kernel: ClosedFormKernel, grid: TimeGrid, *parts
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Sample a closed-form kernel at every grid node: its factors at once,
+    then their expansion one of :func:`time_blocks` at a time, each block
+    checked finite; the (M+1, n, n) result is allocated once and filled
+    block by block.
+
+    With ``parts``, functions that each map a block of samples (T, n, n) to
+    a (T, ...) array, the result is instead a tuple with one array per part,
+    its outputs over all nodes (a 1-tuple for one part), and the samples
+    are never held whole.
+    """
+    times = grid.nodes
+    factors = kernel.factors(times)
+    outs = None
+    for s in time_blocks(len(times), kernel.n**2):
+        vals = np.asarray(kernel.expand(factors[s]), dtype=float)
+        if not np.isfinite(vals).all():
+            j, x, y = np.argwhere(~np.isfinite(vals))[0]
+            raise SamplingError(
+                f"{kernel.family} kernel returned a non-finite value at "
+                f"(x={x}, y={y}, t={times[s.start + j]})"
+            )
+        blocks = [f(vals) for f in parts] if parts else [vals]
+        if outs is None:
+            outs = [np.empty((len(times),) + b.shape[1:]) for b in blocks]
+        for out, b in zip(outs, blocks):
+            out[s] = b
+    return tuple(outs) if parts else outs[0]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def convolution_bound(c1: float, k: int, c2: float, ell: int, n: int, t: float) 
         return 0.0
     log_coef = math.lgamma(k + 1) + math.lgamma(ell + 1) - math.lgamma(k + ell + 2)
     return c1 * c2 * n * math.exp(log_coef) * t ** (k + ell + 1)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc, which sees numpy buffers, records while
+    ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_graph(rng: np.random.Generator, n_max: int = 10, w_max: float = 2.0,

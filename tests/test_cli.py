@@ -450,13 +450,14 @@ class TestEmitTable:
     def test_tables_longer_than_one_block(self, tmp_path, monkeypatch, block, n):
         import numpy as np
 
-        from heatpar import cli
+        from heatpar import cli, series
 
         from conftest import reference_emit_table
 
-        if block is not None:
-            monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
-        step = max(1, cli._TABLE_BLOCK // n**2)  # time nodes per block
+        if block is not None:  # values per table block
+            monkeypatch.setattr(series, "_BLOCK_ENTRIES", cli._TEXT_WEIGHT * block)
+        # time nodes per block
+        step = max(1, series._BLOCK_ENTRIES // (cli._TEXT_WEIGHT * n**2))
         # at the module's own block size: two blocks and a ragged third
         nodes = 1501 if block else 2 * step + 3
         assert nodes > step
@@ -722,6 +723,40 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, 0, 0], False]
+
+    @pytest.mark.skipif(
+        not getattr(os, "confstr_names", {}).get("CS_GNU_LIBC_VERSION"),
+        reason="the mmap and trim thresholds are glibc's",
+    )
+    def test_freed_blocks_keep_their_pages(self):
+        # 50 blocks of three 3 MB temporaries, freed together as a series
+        # product frees a block's transform, product and inverse: glibc
+        # trims them off its heap and faults them in again for each block
+        # (3 × 768 pages), until main() fixes its thresholds.  Below 4 MB
+        # numpy asks for no huge pages, so each page faults on its own.
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from heatpar import cli\n"
+            "if sys.argv[1] == '1':\n"
+            "    cli._keep_block_memory()\n"
+            "def block():\n"
+            "    return [np.ones(3 << 17) for _ in range(3)]\n"
+            "block()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    block()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        faults = []
+        for keep in "01":
+            proc = subprocess.run(
+                [sys.executable, "-c", script, keep], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            faults.append(int(proc.stdout))
+        assert faults[0] > 25 * 768
+        assert faults[1] < 768
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_invalid_thread_count_exits_2(self, monkeypatch, capsys, value):

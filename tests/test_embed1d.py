@@ -1,6 +1,5 @@
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from heatpar.oracle import compare_kernels, spectral_kernel
 from heatpar.parametrix import heat_kernel_via_parametrix
 from heatpar.series import TimeGrid, sample_closed_form
 
-from conftest import first_variable_parametrix, full_mode_parametrix
+from conftest import first_variable_parametrix, full_mode_parametrix, traced_peak
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -270,13 +269,7 @@ class TestSineSeries:
         # all 510 modes at all 16385 times would be 67 MB for one exponential array
         g, cells, bumps, dom = interval_case()
         grid = TimeGrid(0.25, 16384)
-        tracemalloc.start()
-        try:
-            averaged_parametrix(dom, cells, bumps, grid, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert traced_peak(averaged_parametrix, dom, cells, bumps, grid, g) < 20e6
 
 
 @pytest.mark.slow

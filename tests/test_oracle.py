@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from heatpar.oracle import (
 )
 from heatpar.series import TimeGrid, sample_closed_form
 
-from conftest import lattice_hole_document, random_graph, sequential_jacobi_eigh
+from conftest import lattice_hole_document, random_graph, sequential_jacobi_eigh, traced_peak
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -125,6 +124,13 @@ class TestSpectralKernel:
             assert np.abs(ht @ hs - hts).max() <= 1e-12
             assert np.abs(ht.sum(axis=1) - 1.0).max() <= 1e-11
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(CASES)))
+    @pytest.mark.parametrize("t", [1e6, 1e12])
+    def test_exact_at_large_time(self, name, t):
+        # every case is connected, so the kernel tends to 1/n
+        g = load_document(os.path.join(CASES, name)).graph
+        assert np.abs(spectral_kernel(g).at(t) - 1.0 / g.n).max() <= 1e-12
+
     def test_diagonal_decay_unit_graph(self):
         # connected unit-weight graph: diagonal decreases toward equilibrium
         g = WeightedGraph.complete(5)
@@ -220,13 +226,8 @@ class TestCompareKernels:
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 2001, 41, 41))
         times = np.linspace(0.0, 2.0, 2001)
-        tracemalloc.start()
-        try:
-            rep = compare_kernels(a, b, times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6
+        assert traced_peak(compare_kernels, a, b, times) < 5e6
+        rep = compare_kernels(a, b, times)
         assert np.array_equal(rep.per_time_error, np.abs(a - b).reshape(2001, -1).max(axis=1))
 
     def test_shape_mismatch(self):

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +41,11 @@ from conftest import (
     linear_scan_terms,
     random_graph,
     term_by_term_series,
+    traced_peak,
 )
+
+
+CASE_DIR = os.path.join(os.path.dirname(__file__), "..", "cases")
 
 
 def k5_minus_edge():
@@ -362,6 +365,15 @@ class TestNeumannSeries:
             assert np.abs(term - expected).max() <= 1e-5
 
 
+class TestAmbientSpectralKernel:
+    @pytest.mark.parametrize("name", sorted(os.listdir(CASE_DIR)))
+    @pytest.mark.parametrize("t", [1e6, 1e12])
+    def test_exact_at_large_time(self, name, t):
+        # every case is connected, so the kernel tends to 1/n
+        g = load_document(os.path.join(CASE_DIR, name)).graph
+        assert np.abs(ambient_spectral_kernel(g).at(t) - 1.0 / g.n).max() <= 1e-12
+
+
 class TestCompleteGraphClosedForms:
     def test_kernel_examples(self):
         k = complete_graph_kernel(5)
@@ -573,26 +585,16 @@ class TestAssemblyMemory:
     ``assemble_heat_kernel`` never holds a full-length spectrum, since the
     correction is computed a block of rows at a time and H is added in place."""
 
-    @staticmethod
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def assembly_peak(self, p):
         series = neumann_series(p, 1e-8)
         before = p.samples.copy()
-        peak = self.peak(assemble_heat_kernel, p, series)
+        peak = traced_peak(assemble_heat_kernel, p, series)
         assert np.array_equal(p.samples, before)
         return peak
 
     @staticmethod
     def dirichlet_verify_setup():
-        cases = os.path.join(os.path.dirname(__file__), "..", "cases")
-        e = load_document(os.path.join(cases, "halfline_w40.json")).embedding
+        e = load_document(os.path.join(CASE_DIR, "halfline_w40.json")).embedding
         return dirichlet_parametrix(e, ambient_kernel(e), TimeGrid(2.0, 2000))
 
     @staticmethod
@@ -601,6 +603,13 @@ class TestAssemblyMemory:
         p = restriction_parametrix(e, ambient_kernel(e), TimeGrid(1.0, 250))
         assert p.n == 77
         return p
+
+    def test_dirichlet_builder_never_holds_the_ambient(self):
+        # sampling the 42-vertex ambient whole and then copying out the 41
+        # kept vertices peaked at 2.09 times the parametrix
+        p = self.dirichlet_verify_setup()
+        out_bytes = p.samples.nbytes + p.heat_image.nbytes
+        assert traced_peak(self.dirichlet_verify_setup) <= 1.5 * out_bytes
 
     def test_dirichlet_verify_setup(self):
         # 2001 × 41 × 41 values are 27 MB; the one-shot spectrum was 54 MB
@@ -611,8 +620,8 @@ class TestAssemblyMemory:
 
     def test_series_dirichlet_verify_setup(self):
         # LH has 2 support rows of 41; one full (M+1, n, n) array is 27 MB
-        assert self.peak(neumann_series, self.dirichlet_verify_setup(), 1e-8) < 20e6
+        assert traced_peak(neumann_series, self.dirichlet_verify_setup(), 1e-8) < 20e6
 
     def test_series_lattice_with_hole(self):
         # 8 support rows of 77; one full (M+1, n, n) array is 12 MB
-        assert self.peak(neumann_series, self.lattice_with_hole(), 1e-8) < 18e6
+        assert traced_peak(neumann_series, self.lattice_with_hole(), 1e-8) < 18e6

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatpar import series
+from heatpar.bessel import (
+    halfline_dirichlet_closed_form,
+    halfline_window_kernel,
+    z_window_kernel,
+)
 from heatpar.errors import ContractViolation, SamplingError
-from heatpar.parametrix import complete_graph_kernel
+from heatpar.oracle import spectral_kernel
+from heatpar.parametrix import (
+    ambient_spectral_kernel,
+    complete_graph_kernel,
+    subgraph_kernel_closed_form,
+)
 from heatpar.series import (
     ClosedFormKernel,
     TimeGrid,
@@ -20,8 +33,10 @@ from heatpar.series import (
 from conftest import (
     besseli_oracle,
     convolution_bound,
+    lattice_hole_document,
     naive_convolve,
     reference_series_product,
+    traced_peak,
 )
 
 
@@ -290,18 +305,99 @@ class TestSampling:
         bad = ClosedFormKernel(
             family="bad",
             n=1,
-            sample=lambda times: np.where(times > 0.5, math.inf, 1.0)[:, None, None],
+            factors=lambda times: times[:, None],
+            expand=lambda f: np.where(f > 0.5, math.inf, 1.0)[:, :, None],
         )
         with pytest.raises(SamplingError):
             sample_closed_form(bad, TimeGrid(1.0, 4))
 
     def test_sampling_error_names_the_first_bad_entry(self):
-        def sample(times):
+        def expand(f):
+            times = f[:, 0]
             vals = np.ones((len(times), 3, 3))
             vals[times >= 0.5, 2, 1] = math.nan
             vals[times >= 0.75, 0, 2] = -math.inf
             return vals
 
-        bad = ClosedFormKernel(family="bad", n=3, sample=sample)
+        bad = ClosedFormKernel("bad", 3, lambda times: times[:, None], expand)
         with pytest.raises(SamplingError, match=r"^bad kernel .* \(x=2, y=1, t=0\.5\)$"):
             sample_closed_form(bad, TimeGrid(1.0, 4))
+
+
+def _case(name):
+    from heatpar.documents import load_document
+
+    return load_document(os.path.join(os.path.dirname(__file__), "..", "cases", name))
+
+
+def _lattice_embedding():
+    from heatpar.documents import parse_document
+
+    return parse_document(json.dumps(lattice_hole_document(seed=1))).embedding
+
+
+# (kernel, grid) of every closed-form family; the lattice grid is the one at
+# which a contraction planned per call changed 26% of the spectral values
+FAMILIES = {
+    "integer-line": lambda: (z_window_kernel(np.arange(-1, 41)), TimeGrid(2.0, 400)),
+    "half-line": lambda: (halfline_window_kernel(np.arange(41)), TimeGrid(2.0, 400)),
+    "half-line-dirichlet": lambda: (
+        halfline_dirichlet_closed_form(np.arange(41)),
+        TimeGrid(2.0, 400),
+    ),
+    "complete-graph": lambda: (complete_graph_kernel(5), TimeGrid(1.0, 400)),
+    "complete-graph-minus-edges": lambda: (
+        subgraph_kernel_closed_form(_case("k5_minus_edge.json").embedding),
+        TimeGrid(1.0, 400),
+    ),
+    "spectral": lambda: (spectral_kernel(_lattice_embedding().subgraph), TimeGrid(1.0, 250)),
+    "ambient-spectral": lambda: (
+        ambient_spectral_kernel(_lattice_embedding().ambient),
+        TimeGrid(1.0, 250),
+    ),
+}
+
+
+class TestBlockedSampling:
+    """``sample_closed_form`` expands a kernel's factors a block of times at a
+    time into one output array; no value depends on the blocks."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_time_per_block_is_bitwise_the_default(self, monkeypatch, family):
+        kernel, grid = FAMILIES[family]()
+        assert kernel.family == family
+        default = sample_closed_form(kernel, grid)
+        assert np.array_equal(default, kernel.sample(grid.nodes))  # one call
+        monkeypatch.setattr(series, "_BLOCK_ENTRIES", 1)
+        assert len(series.time_blocks(grid.steps + 1, kernel.n**2)) == grid.steps + 1
+        assert np.array_equal(sample_closed_form(kernel, grid), default)
+
+    def test_non_finite_value_after_the_first_block_names_its_time(self):
+        grid = TimeGrid(2.0, 400)
+        bad_t = grid.nodes[300]
+
+        def expand(f):
+            vals = np.ones((len(f), 41, 41))
+            vals[f[:, 0] == bad_t, 7, 3] = math.nan
+            return vals
+
+        bad = ClosedFormKernel("bad", 41, lambda times: times[:, None], expand)
+        first = series.time_blocks(grid.steps + 1, 41**2)[0]
+        assert first.stop <= 300  # 155 times per block
+        with pytest.raises(SamplingError, match=rf"\(x=7, y=3, t={re.escape(str(bad_t))}\)$"):
+            sample_closed_form(bad, grid)
+
+    def test_time_blocks_cover_every_node_once(self, monkeypatch):
+        monkeypatch.setattr(series, "_BLOCK_ENTRIES", 100)
+        for count, per_time in ((0, 9), (1, 9), (23, 9), (23, 1), (5, 1000)):
+            blocks = series.time_blocks(count, per_time)
+            nodes = [j for s in blocks for j in range(count)[s]]
+            assert nodes == list(range(count))
+            assert all(len(range(count)[s]) == max(1, 100 // per_time) for s in blocks[:-1])
+
+    def test_peak_is_the_output_and_bounded_blocks(self):
+        # 2001 × 41 × 41 values are 27 MB; sampling all times in one call
+        # held a second array as large for the reflected Bessel term
+        kernel, grid = halfline_dirichlet_closed_form(np.arange(41)), TimeGrid(2.0, 2000)
+        out_bytes = (grid.steps + 1) * 41 * 41 * 8
+        assert traced_peak(sample_closed_form, kernel, grid) <= 1.5 * out_bytes

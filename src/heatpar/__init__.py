@@ -34,9 +34,9 @@ _EXPORTS = {
     "graph": (
         "SubgraphEmbedding",
         "WeightedGraph",
-        "adjacency_complement",
         "boundary_sets",
         "connected_components",
+        "lost_weights",
     ),
     "oracle": (
         "OracleReport",

@@ -109,22 +109,32 @@ def _write_text(path: str | None, text: str):
     _write_chunks(path, (text,))
 
 
+def _csv_field(name: str) -> str:
+    """``name`` as an RFC 4180 field: in double quotes with its quotes
+    doubled when it holds a comma, a double quote or a line break, else as
+    it is."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def _table_chunks(times, names, values, fmt: str, meta: dict):
     """The text of a kernel table, one block of time nodes at a time, so the
     text is never held whole.
 
     Each time node is formatted once and interleaved with its values by a
-    per-node template of one row per vertex pair, names escaped for %.  The
-    JSON text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
-    newline: ``rows`` sorts last, so the header is the document without
-    it, and numbers take float.__repr__ or json's non-finite spelling.
+    per-node template of one row per vertex pair, names quoted for CSV or
+    JSON and escaped for %.  The JSON text is ``json.dumps(doc,
+    sort_keys=True, indent=1)`` plus a newline: ``rows`` sorts last, so the
+    header is the document without it, and numbers take float.__repr__ or
+    json's non-finite spelling.
     """
     import numpy as np
 
     from .series import time_blocks
 
     if fmt == "csv":
-        row, sep, quote, stamp = "%s,{},{},%.17g\n", "", str, _fmt
+        row, sep, quote, stamp = "%s,{},{},%.17g\n", "", _csv_field, _fmt
         yield "t,x,y,value\n"
     else:
         row, sep, quote = "\n  [\n   %s,\n   {},\n   {},\n   %s\n  ]", ",", json.dumps
@@ -195,12 +205,15 @@ def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
     """Run the method named ``method`` in ``methods.METHODS`` on a document;
     returns (times, names, values array).
 
-    A kernel is refused when one of the three lower bounds of
-    ``_error_bounds`` exceeds ``ERROR_LIMIT``: it is provably that far from
-    the exact kernel."""
+    ``tol`` must be positive and finite for every method, as the parametrix
+    methods' term bound needs.  A kernel is refused when one of the three
+    lower bounds of ``_error_bounds`` exceeds ``ERROR_LIMIT``: it is
+    provably that far from the exact kernel."""
     from .errors import NumericalBudgetError, ParseError
     from .series import TimeGrid
 
+    if not 0 < tol < math.inf:
+        raise ParseError(f"tolerance must be positive and finite, got {tol}")
     grid = TimeGrid(t_max, steps)
     run = METHODS.get(method)
     if run is None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractViolation, ResolutionError
 from .graph import WeightedGraph
 from .parametrix import Parametrix
-from .series import TimeGrid
+from .series import TimeGrid, time_blocks
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,13 @@ def averaged_parametrix(
     nv = graph.n
     pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
     dpair = pair * (-rates[:, None])
-    chunk = max(1, 131_072 // d.n_modes)
     times = grid.nodes
     h, dh = np.empty((len(times), nv, nv)), np.empty((len(times), nv, nv))
-    for j0 in range(0, len(times), chunk):
-        block = times[j0 : j0 + chunk]
+    for blk in time_blocks(len(times), d.n_modes):
+        block = times[blk]
         live = int(np.searchsorted(rates * block.min(), _EXP_UNDERFLOW))
         w = np.exp(-np.outer(block, rates[:live]))
-        h[j0 : j0 + chunk] = (w @ pair[:live]).reshape(-1, nv, nv) * norm
-        dh[j0 : j0 + chunk] = (w @ dpair[:live]).reshape(-1, nv, nv) * norm
+        h[blk] = (w @ pair[:live]).reshape(-1, nv, nv) * norm
+        dh[blk] = (w @ dpair[:live]).reshape(-1, nv, nv) * norm
     lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh  # LH = ΔH + ∂_t H
     return Parametrix(grid, h, tuple(range(nv)), lh)

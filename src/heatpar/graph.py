@@ -1,10 +1,11 @@
 """Weighted graphs, the graph Laplacian, and subgraph boundary combinatorics.
 
-Vertices are dense 0-based integers; external names are mapped at the CLI
-layer.  Weights are stored as a dense symmetric matrix, which is cheap at
-the target sizes (n up to a few hundred) and keeps the convolution engine
-simple.  Infinite ambient graphs are represented as finite windows; vertices
-whose neighborhoods were cut by the window are flagged in ``frontier``.
+Vertices are dense 0-based integers; external names are mapped to them in
+``documents``.  Weights are stored as a dense symmetric matrix, which is
+cheap at the target sizes (n up to a few hundred) and keeps the convolution
+engine simple.  Infinite ambient graphs are represented as finite windows;
+vertices whose neighborhoods were cut by the window are flagged in
+``frontier``.
 """
 
 from __future__ import annotations
@@ -176,42 +177,26 @@ def connected_components(g: WeightedGraph) -> list[np.ndarray]:
     return parts
 
 
-def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:
-    """Ambient vertices adjacent to kept vertex ``v`` whose edge is missing in G.
-
-    That is: ambient neighbors of ``v`` outside the kept set, together with
-    kept vertices joined to ``v`` in the ambient graph through a removed edge.
-    Returned ids are ambient ids.
-    """
-    if v not in e.kept:
-        raise ContractViolation(f"vertex {v} is not kept")
-    kept_set = set(e.kept)
-    out: set[int] = set()
-    for u in np.nonzero(e.ambient.weights[v] > 0)[0]:
-        u = int(u)
-        if u not in kept_set:
-            out.add(u)
-        elif frozenset((u, v)) in e.removed_edges:
-            out.add(u)
-    return out
+def lost_weights(e: SubgraphEmbedding) -> np.ndarray:
+    """The ambient edge weights that G loses, shape (n, N), kept rows by
+    ambient columns: the ambient weights on the kept rows minus G's weights
+    on the kept columns.  Each weight G keeps is a copy of the ambient one,
+    so the subtraction is exact and the nonzero rows are ∂G."""
+    kept = np.array(e.kept)
+    lost = e.ambient.weights[kept]
+    lost[:, kept] -= e.subgraph.weights
+    return lost
 
 
 def boundary_sets(e: SubgraphEmbedding) -> tuple[set[int], set[int], set[int]]:
     """Return (∂G, Int(G), ∂(G∖∂G)) as sets of ambient vertex ids.
 
-    ∂G holds kept vertices that lose an ambient edge in G, i.e. whose
-    adjacency complement is non-empty (so their weighted degree in G is
-    below their ambient degree; comparing the two floating-point sums
-    instead would flag vertices whose sums merely round differently).
-    Int(G) is the rest.  The third set is the boundary of Int(G)
-    re-embedded into G, i.e. interior vertices that are G-adjacent to ∂G.
+    ∂G is the kept vertices that lose an ambient edge, the nonzero rows of
+    :func:`lost_weights` (comparing weighted degrees in G and in the ambient
+    graph would flag vertices whose sums merely round apart).  Int(G) is
+    the rest, and ∂(G∖∂G) the interior vertices with a G-edge into ∂G.
     """
-    kept_set = set(e.kept)
-    nbrs = {v: set(np.flatnonzero(e.ambient.weights[v] > 0).tolist()) for v in e.kept}
-    in_removed = {v for edge in e.removed_edges for v in edge}
-    boundary = {v for v in e.kept if v in in_removed or not nbrs[v] <= kept_set}
-    interior = kept_set - boundary
-    # an interior vertex lies on no removed edge, so each of its ambient
-    # edges to a kept vertex is an edge of G
-    second = {v for v in interior if nbrs[v] & boundary}
-    return boundary, interior, second
+    kept = np.array(e.kept)
+    on_boundary = lost_weights(e).any(axis=1)
+    second = ~on_boundary & (e.subgraph.weights[:, on_boundary] > 0).any(axis=1)
+    return tuple(set(kept[mask].tolist()) for mask in (on_boundary, ~on_boundary, second))

@@ -24,10 +24,9 @@ from .errors import ContractViolation, NonConvergenceError, NumericalBudgetError
 from .graph import (
     SubgraphEmbedding,
     WeightedGraph,
-    adjacency_complement,
     ambient_is_unit_complete,
-    boundary_sets,
     connected_components,
+    lost_weights,
 )
 from .oracle import jacobi_eigh
 from .series import (
@@ -104,6 +103,30 @@ def diagonal_parametrix(g: WeightedGraph, grid: TimeGrid) -> Parametrix:
     return Parametrix(grid, h, tuple(range(g.n)), lh)
 
 
+def _embedded_parametrix(
+    e: SubgraphEmbedding, ambient_kernel: ClosedFormKernel, grid: TimeGrid, coupling, zeroed=()
+) -> Parametrix:
+    """H, the ambient kernel on kept×kept with the ``zeroed`` rows set to
+    zero, and LH = coupling·H̃ on the kept columns, from one pass over the
+    ambient samples a block of times at a time, so they are never held
+    whole.  ``coupling`` has shape (n, N), kept rows by ambient columns;
+    LH is supported on its nonzero rows and the zeroed ones.
+    """
+    if ambient_kernel.n != e.ambient.n:
+        raise ContractViolation("ambient kernel size does not match ambient graph")
+    kept = np.array(e.kept)
+    support = np.union1d(np.flatnonzero(coupling.any(axis=1)), zeroed).astype(int)
+    rows = coupling[support]
+    h, lh = sample_closed_form(
+        ambient_kernel,
+        grid,
+        lambda amb: amb[:, kept[:, None], kept[None, :]],
+        lambda amb: (rows @ amb)[:, :, kept],
+    )
+    h[:, zeroed, :] = 0.0
+    return Parametrix(grid, h, tuple(support.tolist()), lh)
+
+
 def restriction_parametrix(
     e: SubgraphEmbedding, ambient_kernel: ClosedFormKernel, grid: TimeGrid
 ) -> Parametrix:
@@ -112,32 +135,15 @@ def restriction_parametrix(
 
         LH(v1, v2; t) = −Σ_{v ∈ A(v1)} (H̃(v1, v2; t) − H̃(v, v2; t)) w̃_{v1 v},
 
-    which is supported on the subgraph boundary in the first variable.  The
-    ambient kernel is sampled a block of times at a time; H and every
-    boundary row of LH, one product with the missing-neighbor weights, are
-    read from each block, so the ambient samples are never held whole.
-    ``ambient_kernel`` must be the heat kernel of ``e.ambient`` (for windows
-    of an infinite graph: of the infinite graph, with window truncation
-    certified separately).
+    which is supported on the subgraph boundary in the first variable: the
+    coupling is :func:`lost_weights` with minus its row sums on the
+    diagonal.  ``ambient_kernel`` must be the heat kernel of ``e.ambient``
+    (for windows of an infinite graph: of the infinite graph, with window
+    truncation certified separately).
     """
-    if ambient_kernel.n != e.ambient.n:
-        raise ContractViolation("ambient kernel size does not match ambient graph")
-    boundary = sorted(boundary_sets(e)[0])
-    kept = np.array(e.kept)
-    # row of v1: +w̃_{v1 v} at each missing neighbor v, −Σ_{v ∈ A(v1)} w̃_{v1 v} at v1
-    coupling = np.zeros((len(boundary), e.ambient.n))
-    for i, v1 in enumerate(boundary):
-        missing = sorted(adjacency_complement(e, v1))
-        coupling[i, missing] = e.ambient.weights[v1, missing]
-        coupling[i, v1] = -coupling[i].sum()
-    h, lh = sample_closed_form(
-        ambient_kernel,
-        grid,
-        lambda amb: amb[:, kept[:, None], kept[None, :]],
-        lambda amb: (coupling @ amb)[:, :, kept],
-    )
-    support = tuple(e.subgraph_index(v) for v in boundary)
-    return Parametrix(grid, h, support, lh)
+    coupling = lost_weights(e)
+    coupling[np.arange(e.n), e.kept] -= coupling.sum(axis=1)
+    return _embedded_parametrix(e, ambient_kernel, grid, coupling)
 
 
 def dirichlet_parametrix(
@@ -153,27 +159,14 @@ def dirichlet_parametrix(
       * v1 adjacent to ∂G: LH(v1, v2) = Σ_{y ∈ ∂G} w_{v1 y} H̃(y, v2)
       * elsewhere:         0,
 
-    that is one coupling-matrix product with the restricted ambient samples.
-    Only the kept rows and columns of each block of ambient samples are
-    stored.
+    that is the coupling ±w_G between ∂G and Int(G).
     """
-    if ambient_kernel.n != e.ambient.n:
-        raise ContractViolation("ambient kernel size does not match ambient graph")
-    boundary, interior, second = (
-        np.array(sorted(e.subgraph_index(v) for v in vs), dtype=int) for vs in boundary_sets(e)
-    )
-    kept = np.array(e.kept)
+    on_boundary = lost_weights(e).any(axis=1)
     w = e.subgraph.weights
-    coupling = np.zeros((e.n, e.n))
-    coupling[np.ix_(boundary, interior)] = -w[np.ix_(boundary, interior)]
-    coupling[np.ix_(second, boundary)] = w[np.ix_(second, boundary)]
-    support = np.union1d(boundary, second)
-    h = sample_closed_form(
-        ambient_kernel, grid, lambda amb: amb[:, kept[:, None], kept[None, :]]
-    )[0]
-    lh = coupling[support] @ h  # before the boundary rows of h are zeroed
-    h[:, boundary, :] = 0.0
-    return Parametrix(grid, h, tuple(support.tolist()), lh)
+    across = on_boundary[:, None] != on_boundary[None, :]
+    coupling = np.zeros((e.n, e.ambient.n))
+    coupling[:, e.kept] = np.where(across, np.where(on_boundary[:, None], -w, w), 0.0)
+    return _embedded_parametrix(e, ambient_kernel, grid, coupling, np.flatnonzero(on_boundary))
 
 
 _COARSE_GRID = (

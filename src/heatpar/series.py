@@ -172,7 +172,11 @@ def sample_closed_form(
     """
     times = grid.nodes
     factors = kernel.factors(times)
-    outs = None
+    # the outputs are allocated before the first block, so on the heap they
+    # sit below the block temporaries, not between them and later stages
+    probe = np.asarray(kernel.expand(factors[:1]), dtype=float)
+    shapes = [f(probe).shape[1:] for f in parts] if parts else [probe.shape[1:]]
+    outs = [np.empty((len(times),) + shape) for shape in shapes]
     for s in time_blocks(len(times), kernel.n**2):
         vals = np.asarray(kernel.expand(factors[s]), dtype=float)
         if not np.isfinite(vals).all():
@@ -182,8 +186,6 @@ def sample_closed_form(
                 f"(x={x}, y={y}, t={times[s.start + j]})"
             )
         blocks = [f(vals) for f in parts] if parts else [vals]
-        if outs is None:
-            outs = [np.empty((len(times),) + b.shape[1:]) for b in blocks]
         for out, b in zip(outs, blocks):
             out[s] = b
     return tuple(outs) if parts else outs[0]

@@ -9,7 +9,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from heatpar.bessel import besseli, intro_identity_sum
 from heatpar.embed1d import _mode_overlaps
 from heatpar.errors import ContractViolation, DomainError
-from heatpar.graph import SubgraphEmbedding, WeightedGraph, adjacency_complement
+from heatpar.graph import SubgraphEmbedding, WeightedGraph
 from heatpar.parametrix import Parametrix
 from heatpar.series import fold_bound
 from heatpar.series import next_fast_len as smooth_fft_len
@@ -80,6 +80,21 @@ def random_graph(rng: np.random.Generator, n_max: int = 10, w_max: float = 2.0,
     p_edge = rng.uniform(*p_range)
     mask = np.triu(rng.uniform(size=(n, n)) < p_edge, 1)
     return WeightedGraph(w * (mask + mask.T))
+
+
+def random_embedding(seed: int) -> SubgraphEmbedding:
+    """A random ambient graph, a random kept set and random kept-kept edges
+    removed, so ∂G mixes both ways of losing an edge."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_max=14, p_range=(0.3, 0.6))
+    kept = [v for v in range(g.n) if rng.uniform() < 0.8] or [0]
+    inside = [
+        frozenset((u, v))
+        for u in kept
+        for v in kept
+        if u < v and g.weights[u, v] > 0 and rng.uniform() < 0.3
+    ]
+    return SubgraphEmbedding(ambient=g, kept=tuple(kept), removed_edges=frozenset(inside))
 
 
 def lattice_hole_document(seed: int, side: int = 9, hole=(3, 4)) -> dict:
@@ -257,12 +272,19 @@ def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
     def fmt17(x):
         return format(float(x), ".17g")
 
+    def csv_name(name):
+        # RFC 4180: quote a field holding a separator, quote or line break
+        if set(name) & set(',"\r\n'):
+            return '"' + name.replace('"', '""') + '"'
+        return name
+
     if fmt == "csv":
         lines = ["t,x,y,value"]
         for j, t in enumerate(times):
             for a, xn in enumerate(names):
                 for b, yn in enumerate(names):
-                    lines.append(f"{fmt17(t)},{xn},{yn},{fmt17(values[j][a][b])}")
+                    x, y = csv_name(xn), csv_name(yn)
+                    lines.append(f"{fmt17(t)},{x},{y},{fmt17(values[j][a][b])}")
         return "\n".join(lines) + "\n"
     rows = [
         [float(t), xn, yn, float(values[j][a][b])]
@@ -272,6 +294,26 @@ def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
     ]
     doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": rows}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:
+    """Ambient vertices adjacent to kept vertex ``v`` whose edge is missing in G.
+
+    That is: ambient neighbors of ``v`` outside the kept set, together with
+    kept vertices joined to ``v`` in the ambient graph through a removed edge.
+    Returned ids are ambient ids.
+    """
+    if v not in e.kept:
+        raise ContractViolation(f"vertex {v} is not kept")
+    kept_set = set(e.kept)
+    out: set[int] = set()
+    for u in np.nonzero(e.ambient.weights[v] > 0)[0]:
+        u = int(u)
+        if u not in kept_set:
+            out.add(u)
+        elif frozenset((u, v)) in e.removed_edges:
+            out.add(u)
+    return out
 
 
 def recursive_boundary_sets(e: SubgraphEmbedding):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from heatpar.cli import main
+from heatpar.methods import METHODS
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -368,11 +370,29 @@ class TestKernelCommand:
         assert status == 3
         assert "overflows the expm scaling" in capsys.readouterr().err
 
-    def test_nan_tolerance_exits_2(self, capsys):
-        status = run_main(["kernel", "--graph", case("k2.json"), "--method",
-                           "parametrix-diagonal", "--tol", "nan", "--steps", "4"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_bad_tolerance_exits_2(self, capsys, method, tol):
+        status = run_main(["kernel", "--graph", case("k2.json"), "--method", method,
+                           "--tol", tol, "--steps", "4"])
         assert status == 2
         assert "tolerance must be positive" in capsys.readouterr().err
+
+    def test_csv_quotes_special_names(self, tmp_path):
+        names = ["a,b", "c\nd", 'q"r', "e\r\nf", "100%,%s", "plain"]
+        edges = [[x, y, 1.0 + i] for i, (x, y) in enumerate(zip(names, names[1:]))]
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps({"vertices": names, "edges": edges}))
+        out = tmp_path / "k.csv"
+        status = run_main(["kernel", "--graph", str(doc), "--method", "spectral",
+                           "--steps", "2", "--out", str(out)])
+        assert status == 0
+        with open(out, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["t", "x", "y", "value"]
+        pairs = [[x, y] for x in names for y in names]
+        assert [r[1:3] for r in rows[1:]] == 3 * pairs
+        assert all(len(r) == 4 for r in rows)
 
 
 def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):

@@ -10,14 +10,20 @@ from heatpar.errors import ContractViolation
 from heatpar.graph import (
     SubgraphEmbedding,
     WeightedGraph,
-    adjacency_complement,
     boundary_sets,
     connected_components,
+    lost_weights,
 )
 
 from heatpar.documents import load_document, parse_document
 
-from conftest import lattice_hole_document, random_graph, recursive_boundary_sets
+from conftest import (
+    adjacency_complement,
+    lattice_hole_document,
+    random_embedding,
+    random_graph,
+    recursive_boundary_sets,
+)
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -228,16 +234,12 @@ class TestBoundarySetsAgainstRecursion:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_removed_edges_inside_the_kept_set(self, seed):
-        # random ambient graph, a random kept set and random kept-kept edges
-        # removed, so ∂G mixes both ways of losing an edge
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, n_max=14, p_range=(0.3, 0.6))
-        kept = [v for v in range(g.n) if rng.uniform() < 0.8] or [0]
-        inside = [
-            frozenset((u, v))
-            for u in kept
-            for v in kept
-            if u < v and g.weights[u, v] > 0 and rng.uniform() < 0.3
-        ]
-        e = SubgraphEmbedding(ambient=g, kept=tuple(kept), removed_edges=frozenset(inside))
+        e = random_embedding(seed)
         assert boundary_sets(e) == recursive_boundary_sets(e)
+        # each row of the lost weights holds the ambient weights to exactly
+        # the missing neighbors
+        lost = lost_weights(e)
+        for i, v in enumerate(e.kept):
+            missing = sorted(adjacency_complement(e, v))
+            assert np.flatnonzero(lost[i]).tolist() == missing
+            assert np.array_equal(lost[i, missing], e.ambient.weights[v, missing])

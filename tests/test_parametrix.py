@@ -39,6 +39,7 @@ from conftest import (
     full_rows,
     lattice_hole_document,
     linear_scan_terms,
+    random_embedding,
     random_graph,
     term_by_term_series,
     traced_peak,
@@ -211,6 +212,14 @@ class TestHeatImageIdentity:
     CASES = [
         (k5_minus_edge, lambda e: complete_graph_kernel(5)),
         (lambda: lattice_hole_embedding(11), lambda e: ambient_spectral_kernel(e.ambient)),
+    ] + [
+        # seeds whose kept set is not a prefix and that remove kept-kept edges
+        pytest.param(
+            lambda seed=seed: random_embedding(seed),
+            lambda e: ambient_spectral_kernel(e.ambient),
+            id=f"random-embedding-{seed}",
+        )
+        for seed in range(3)
     ]
 
     @staticmethod

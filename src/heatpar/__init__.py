@@ -13,7 +13,6 @@ _EXPORTS = {
         "bessel_tail_bound",
         "bessel_time_convolve",
         "besseli",
-        "besseli_grid",
         "besseli_row",
         "halfline_dirichlet_closed_form",
         "halfline_window_kernel",

@@ -1,12 +1,13 @@
 """Integer-order modified Bessel functions I_n and the lattice heat kernels
 built from them.
 
-Single values use the defining power series when the argument is small
-relative to the order (x <= 2(n+1)) and a Miller-style backward recurrence
-normalized by Σ I_n = e^x otherwise; forward recurrence in growing order is
-unstable and is never used.  Whole rows I_0..I_N come from the recurrence,
-run over an array of arguments at once.  Arguments are certified on
-0 <= x <= 40.
+I_n has one evaluator, ``besseli_row``: a Miller-style backward recurrence
+in the order, normalized by Σ I_n = e^x and run over an array of arguments
+at once, gives the whole row I_0..I_N; forward recurrence in growing order
+is unstable and is never used.  Below x = 1e-8 the row is its leading term
+(x/2)^k/k!, which is I_k to double precision there, and the recurrence,
+whose ratios 2k/x overflow for the smallest arguments, is not run.
+Arguments are certified on 0 <= x <= 40.
 
 Two convolutions appear in this package: the one-variable time convolution
 (I_m * I_n)(x) = ∫_0^x I_m(τ) I_n(x−τ) dτ implemented here, and the graph
@@ -20,82 +21,65 @@ import math
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .series import ClosedFormKernel, convolve_values
+from .series import ClosedFormKernel, convolve_values, time_blocks
 
 _RESCALE = 1e250
 
 
 _X_MAX = 40.0  # arguments are certified on 0 <= x <= _X_MAX
 
+# below this argument a row is its leading term (x/2)^k/k!: the next term is
+# at most x²/4 = 2.5e-17 of it
+_TINY = 1e-8
+
 
 def _check(n: int, x):
     if n < 0 or int(n) != n:
         raise DomainError(f"order must be a nonnegative integer, got {n}")
     xs = np.asarray(x, dtype=float)
-    outside = xs[(xs < 0) | (xs > _X_MAX)]
+    outside = xs[~((xs >= 0) & (xs <= _X_MAX))]  # NaN fails both tests
     if outside.size:
         raise DomainError(f"argument {outside[0]} outside certified range [0, {_X_MAX}]")
 
 
-def _power_series_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xs)
-    pos = xs > 0
-    x = xs[pos]
-    if x.size:
-        term = np.exp(n * np.log(x / 2.0) - math.lgamma(n + 1))
-        total = term.copy()
-        q = x * x / 4.0
-        for k in range(1000):
-            term *= q / ((k + 1.0) * (n + k + 1.0))
-            total += term
-            if np.all(term <= 1e-18 * total):
-                break
-        else:
-            raise DomainError("vectorized power series did not converge")
-        out[pos] = total
-    if n == 0:
-        out[~pos] = 1.0
-    return out
-
-
 def _miller_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
-    # one recurrence per argument, each from its own start order; a column
-    # keeps its seed values until the shared countdown reaches its start
     rows = np.zeros((xs.size, n_max + 1))
-    rows[xs == 0.0, 0] = 1.0
-    pos = xs > 0.0
-    x = xs[pos]
+    # below _TINY the leading term, as a running product
+    tiny = xs < _TINY
+    half = xs[tiny] / 2.0
+    lead = np.ones((half.size, n_max + 1))
+    for k in range(1, n_max + 1):
+        lead[:, k] = lead[:, k - 1] * half / k
+    rows[tiny] = lead
+    x = xs[~tiny]
     if not x.size:
         return rows
+    # one recurrence per argument, each from its own start order: a column
+    # stays zero until the shared countdown reaches its start, where it
+    # takes its seed
     start = np.maximum(n_max, np.ceil(x)).astype(int) + 60
     out = np.zeros((x.size, n_max + 1))
     b_hi = np.zeros(x.size)
-    b = np.full(x.size, 1e-300)
+    b = np.zeros(x.size)
     norm = np.zeros(x.size)
     for k in range(int(start.max()), 0, -1):
-        on = start >= k
-        b_lo = b_hi + (2.0 * k / x) * b
-        b_hi = np.where(on, b, b_hi)
-        b = np.where(on, b_lo, b)
+        b[start == k] = 1e-300
+        b_hi, b = b, b_hi + (2.0 * k / x) * b
         if k - 1 <= n_max:
             out[:, k - 1] = b
-        norm += np.where(on, 2.0 * b if k - 1 > 0 else b, 0.0)
+        norm += 2.0 * b if k - 1 > 0 else b
         big = np.abs(b) > _RESCALE
         if big.any():
             b_hi[big] /= _RESCALE
             b[big] /= _RESCALE
             norm[big] /= _RESCALE
             out[big] /= _RESCALE
-    rows[pos] = out * (np.exp(x) / norm)[:, None]
+    rows[~tiny] = out * (np.exp(x) / norm)[:, None]
     return rows
 
 
 def besseli(n: int, x: float) -> float:
-    """I_n(x), n >= 0, 0 <= x <= 40: power series for x <= 2(n+1), Miller
-    recurrence beyond."""
-    _check(n, x)
-    if x <= 2.0 * (n + 1):
-        return float(_power_series_grid(int(n), np.array([float(x)]))[0])
+    """I_n(x), n >= 0, 0 <= x <= 40: entry n of ``besseli_row(n, x)``."""
     return float(besseli_row(n, x)[n])
 
 
@@ -105,12 +89,6 @@ def besseli_row(n_max: int, x) -> np.ndarray:
     _check(n_max, x)
     xs = np.asarray(x, dtype=float)
     return _miller_rows(int(n_max), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
-
-
-def besseli_grid(n: int, xs) -> np.ndarray:
-    """I_n over an array of arguments, by the power series."""
-    _check(n, xs)
-    return _power_series_grid(int(n), np.asarray(xs, dtype=float))
 
 
 def bessel_tail_bound(n: int, x: float) -> float:
@@ -184,14 +162,24 @@ def halfline_dirichlet_closed_form(coords) -> ClosedFormKernel:
 # one-variable convolutions and the identities they certify
 
 
+def _orders_on_grid(orders: list[int], end: float, steps: int) -> np.ndarray:
+    """I_k at the steps + 1 trapezoid nodes of [0, end], one column per order
+    k in ``orders``, from rows I_0..I_max(orders) taken a block of nodes at a
+    time, so memory stays bounded however large the orders are."""
+    _check(min(orders), end)
+    taus = np.linspace(0.0, end, steps + 1)
+    top = max(orders)
+    return np.concatenate(
+        [besseli_row(top, taus[s])[:, orders] for s in time_blocks(taus.size, top + 1)]
+    )
+
+
 def bessel_time_convolve(m: int, n: int, x: float, quad_steps: int) -> float:
     """Trapezoidal evaluation of (I_m * I_n)(x) = ∫_0^x I_m(τ) I_n(x−τ) dτ."""
     if quad_steps < 2:
         raise ContractViolation("quad_steps must be >= 2")
-    if x == 0.0:
-        return 0.0
-    taus = np.linspace(0.0, x, quad_steps + 1)
-    prod = besseli_grid(m, taus) * besseli_grid(n, taus)[::-1]
+    f = _orders_on_grid([m, n], x, quad_steps)
+    prod = f[:, 0] * f[::-1, 1]
     return float((prod.sum() - 0.5 * (prod[0] + prod[-1])) * (x / quad_steps))
 
 
@@ -200,10 +188,9 @@ def watson_series(m: int, n: int, x: float, terms: int) -> tuple[float, float]:
     dropped tail.  The full sum equals (I_m * I_n)(x)."""
     if terms < 1:
         raise ContractViolation("terms must be >= 1")
+    _check(min(m, n), x)
     top = m + n + 2 * (terms - 1) + 1
-    row = besseli_row(top, x) if x > 0 else None
-    if row is None:
-        return 0.0, 0.0
+    row = besseli_row(top, x)
     total = 2.0 * sum(row[m + n + 2 * k + 1] for k in range(terms))
     # tail: 2 Σ_{k>=terms} bound(m+n+2k+1); consecutive bounds shrink by
     # (x/2)^2 / ((p+1)(p+2)) <= q < 1 once p exceeds x, giving a geometric cap
@@ -230,11 +217,8 @@ def intro_identity_sum(
         raise DomainError("identity requires x >= 1 and y >= 0")
     if order_cap < 0 or quad_steps < 2:
         raise ContractViolation("order_cap must be >= 0 and quad_steps >= 2")
-    if t == 0.0:
-        return 0.0
     dx = t / quad_steps
-    taus = np.linspace(0.0, t, quad_steps + 1)
-    f1, fx, fy = (besseli_grid(k, taus)[:, None, None] for k in (1, x - 1, y))
+    f1, fx, fy = (f[:, None, None] for f in _orders_on_grid([1, x - 1, y], t, quad_steps).T)
     g = convolve_values(fx, fy, dx)
     total = 0.0
     sign = 1.0

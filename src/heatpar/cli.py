@@ -201,6 +201,13 @@ def _error_bounds(values) -> list[float]:
     return np.where(np.isnan(worst), np.inf, worst).tolist()
 
 
+def _check_tol(tol: float):
+    from .errors import ParseError
+
+    if not 0 < tol < math.inf:
+        raise ParseError(f"tolerance must be positive and finite, got {tol}")
+
+
 def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
     """Run the method named ``method`` in ``methods.METHODS`` on a document;
     returns (times, names, values array).
@@ -212,8 +219,7 @@ def compute_kernel(doc, method: str, t_max: float, steps: int, tol: float):
     from .errors import NumericalBudgetError, ParseError
     from .series import TimeGrid
 
-    if not 0 < tol < math.inf:
-        raise ParseError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     grid = TimeGrid(t_max, steps)
     run = METHODS.get(method)
     if run is None:
@@ -280,6 +286,7 @@ def cmd_verify(args) -> int:
 def cmd_identity(args) -> int:
     from .bessel import bessel_time_convolve, besseli, intro_identity_sum, watson_series
 
+    _check_tol(args.tol)
     if args.name == "watson":
         lhs = bessel_time_convolve(args.m, args.n, args.x, args.quad_steps)
         rhs, tail = watson_series(args.m, args.n, args.x, args.terms)

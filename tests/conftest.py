@@ -265,26 +265,27 @@ def full_rows(p, rows):
     return full
 
 
+def _fmt17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _csv_name(name: str) -> str:
+    # RFC 4180: quote a field holding a separator, quote or line break
+    if set(name) & set(',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
     """Reference for ``cli._emit_table``: the text it writes, built one
     (t, x, y) row at a time with every number formatted on its own."""
-
-    def fmt17(x):
-        return format(float(x), ".17g")
-
-    def csv_name(name):
-        # RFC 4180: quote a field holding a separator, quote or line break
-        if set(name) & set(',"\r\n'):
-            return '"' + name.replace('"', '""') + '"'
-        return name
-
     if fmt == "csv":
         lines = ["t,x,y,value"]
         for j, t in enumerate(times):
             for a, xn in enumerate(names):
                 for b, yn in enumerate(names):
-                    x, y = csv_name(xn), csv_name(yn)
-                    lines.append(f"{fmt17(t)},{x},{y},{fmt17(values[j][a][b])}")
+                    x, y = _csv_name(xn), _csv_name(yn)
+                    lines.append(f"{_fmt17(t)},{x},{y},{_fmt17(values[j][a][b])}")
         return "\n".join(lines) + "\n"
     rows = [
         [float(t), xn, yn, float(values[j][a][b])]
@@ -294,6 +295,35 @@ def reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
     ]
     doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": rows}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def fast_reference_emit_table(times, names, values, fmt: str, meta: dict) -> str:
+    """``reference_emit_table``'s text built a column at a time, several
+    times faster on large tables: each time and each value is spelled once,
+    a whole column in one C-coded call (``%.17g`` for CSV, json's encoder
+    for JSON), and each row is then formatted from its four spellings."""
+    n2 = len(names) ** 2
+    if fmt == "csv":
+
+        def spell(xs):
+            return ("%.17g\0" * len(xs) % tuple(xs)).split("\0")[:-1]
+
+        quote, row = _csv_name, "{},{},{},{}".format
+    else:
+
+        def spell(xs):  # numbers only, so every NUL is a separator
+            return json.dumps(xs, separators=("\0", ":"))[1:-1].split("\0")
+
+        quote, row = json.dumps, "\n  [\n   {},\n   {},\n   {},\n   {}\n  ]".format
+    ts = [s for s in spell(times.tolist()) for _ in range(n2)]
+    xs = [quote(x) for x in names for _ in names] * len(times)
+    ys = [quote(y) for y in names] * (len(names) * len(times))
+    rows = list(map(row, ts, xs, ys, spell(values.ravel().tolist())))
+    if fmt == "csv":
+        return "\n".join(["t,x,y,value", *rows]) + "\n"
+    doc = {"meta": meta, "columns": ["t", "x", "y", "value"], "rows": "\0"}
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    return text.replace('"\\u0000"', "[" + ",".join(rows) + "\n ]") + "\n"
 
 
 def adjacency_complement(e: SubgraphEmbedding, v: int) -> set[int]:

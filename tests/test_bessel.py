@@ -1,15 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from scipy.special import ive
 
 from heatpar.bessel import (
+    _TINY,
     bessel_tail_bound,
     bessel_time_convolve,
     besseli,
-    besseli_grid,
     besseli_row,
     halfline_dirichlet_closed_form,
     halfline_window_kernel,
@@ -19,7 +20,7 @@ from heatpar.bessel import (
 )
 from heatpar.errors import DomainError
 
-from conftest import besseli_oracle, verify_intro_identity
+from conftest import besseli_oracle, traced_peak, verify_intro_identity
 
 # frozen reference values, computed from the power series before the build
 I0_1 = 1.2660658777520083
@@ -40,8 +41,7 @@ class TestBesseli:
         assert besseli(3, 2.0) == pytest.approx(I3_2, abs=1e-13)
 
     def test_against_series_oracle(self):
-        # covers both the power-series region (x <= 2(n+1)) and the
-        # Miller-recurrence region
+        # arguments from well below the order to well above it
         for n in range(0, 31):
             for x in (0.05, 0.5, 1.0, 2.0, 3.7, 5.0, 8.0, 10.0, 25.0, 40.0):
                 assert besseli(n, x) == pytest.approx(
@@ -55,6 +55,11 @@ class TestBesseli:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             besseli(0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="outside certified range"):
+                besseli(0, bad)
+            with pytest.raises(DomainError, match="outside certified range"):
+                besseli_row(2, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             besseli(0, 41.0)
         with pytest.raises(DomainError):
@@ -75,13 +80,6 @@ class TestBesseli:
             for n in range(26):
                 assert row[n] == pytest.approx(besseli_oracle(n, x), abs=1e-13, rel=1e-11)
 
-    def test_grid_matches_scalar(self):
-        xs = np.linspace(0.0, 12.0, 37)
-        for n in (0, 1, 4):
-            grid_vals = besseli_grid(n, xs)
-            for x, v in zip(xs, grid_vals):
-                assert v == pytest.approx(besseli(n, float(x)), abs=1e-12, rel=1e-11)
-
     def test_recurrence(self):
         # I_{n-1}(x) - I_{n+1}(x) = (2n/x) I_n(x)
         for n in range(1, 26):
@@ -95,6 +93,53 @@ class TestBesseli:
             row = besseli_row(12, x)
             assert np.all(row[:-1] > row[1:])
             assert np.all(row > 0)
+
+
+# arguments from the smallest subnormal to the top of the certified range,
+# on both sides of the switch to the leading term
+MPMATH_ARGS = (
+    [0.0, 5e-324, 1e-300, 1e-60, 1e-9]
+    + [float(np.nextafter(_TINY, 0.0)), _TINY, float(np.nextafter(_TINY, 1.0))]
+    + [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 8.0, 15.0, 25.0, 33.0, 40.0]
+)
+
+
+@pytest.fixture(scope="module")
+def mpmath_rows():
+    with mpmath.workdps(40):
+        return np.array(
+            [[float(mpmath.besseli(n, mpmath.mpf(x))) for n in range(201)] for x in MPMATH_ARGS]
+        )
+
+
+def assert_rows_close(got, ref):
+    # relative 1e-13, with an absolute floor of 1e-300 for values that
+    # underflow in double precision
+    assert np.isfinite(got).all()
+    assert (np.abs(got - ref) <= np.maximum(1e-13 * np.abs(ref), 1e-300)).all()
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("n_max", [30, 60, 90, 200])
+    def test_row(self, mpmath_rows, n_max):
+        rows = besseli_row(n_max, np.array(MPMATH_ARGS))
+        assert_rows_close(rows, mpmath_rows[:, : n_max + 1])
+
+    def test_scalar(self, mpmath_rows):
+        for x, ref in zip(MPMATH_ARGS, mpmath_rows):
+            for n in (0, 1, 2, 7, 30, 90, 200):
+                assert_rows_close(np.array(besseli(n, x)), ref[n])
+
+    def test_finite_over_the_certified_range(self):
+        xs = np.concatenate([[0.0], np.geomspace(5e-324, 40.0, 2000)])
+        assert np.isfinite(besseli_row(200, xs)).all()
+
+    def test_mixed_array_rows_equal_single_rows(self):
+        # each argument's row is the same whichever others share the call
+        xs = np.array([40.0, 0.0, _TINY, 1e-300, 3.0, np.nextafter(_TINY, 0.0), 1e-5])
+        rows = besseli_row(50, xs)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, besseli_row(50, x))
 
 
 class TestTailBound:
@@ -209,6 +254,18 @@ class TestTimeConvolution:
                     conv = bessel_time_convolve(m, n, x, 200000)
                     series, tail = watson_series(m, n, x, 40)
                     assert abs(conv - series) <= 1e-8 + tail
+
+    def test_bounded_memory(self):
+        # rows I_0..I_100 at all 100001 nodes would take 81 MB; taken a block
+        # of nodes at a time they stay far below that
+        assert traced_peak(bessel_time_convolve, 0, 100, 1.0, 100000) < 16e6
+
+    def test_negative_order_refused(self):
+        # an order of -1 must not read the last entry of a row
+        with pytest.raises(DomainError):
+            bessel_time_convolve(-1, 2, 1.0, 100)
+        with pytest.raises(DomainError):
+            watson_series(2, -1, 1.0, 10)
 
     def test_watson_tail_is_real_bound(self):
         # with few terms the certificate is well above roundoff and must

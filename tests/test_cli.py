@@ -370,6 +370,26 @@ class TestKernelCommand:
         assert status == 3
         assert "overflows the expm scaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["parametrix-restriction", "dirichlet",
+                                        "closed-form-halfline",
+                                        "closed-form-halfline-dirichlet"])
+    def test_bessel_kernels_at_tiny_time(self, tmp_path, method):
+        # I_n(2t) at 2t = 1e-100 is its leading term, and the kernel is the
+        # identity, with the Dirichlet kernels zero at the boundary vertex 0
+        import numpy as np
+
+        out = tmp_path / "tiny.json"
+        status = run_main(["kernel", "--graph", case("halfline_w40.json"), "--method", method,
+                           "--t-max", "1e-100", "--steps", "2", "--format", "json",
+                           "--out", str(out)])
+        assert status == 0
+        rows = json.loads(out.read_text())["rows"]
+        values = np.array([r[3] for r in rows]).reshape(3, 41, 41)
+        exact = np.eye(41)
+        if "dirichlet" in method:
+            exact[0, 0] = 0.0
+        assert np.abs(values - exact).max() <= 1e-15
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_bad_tolerance_exits_2(self, capsys, method, tol):
@@ -498,6 +518,19 @@ class TestEmitTable:
         assert run_main(args + ["--out", "-"]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_fast_reference_matches_reference(self, n):
+        import numpy as np
+
+        from conftest import fast_reference_emit_table, reference_emit_table
+
+        # names that need quoting or escaping in CSV or JSON
+        names = ("a,b", '"q"', "x\r\ny", "é", "\0", "[1]")[:n]
+        times, values = self.long_table(np.random.default_rng(n), 40, n)
+        for fmt in ("csv", "json"):
+            ref = reference_emit_table(times, names, values, fmt, self.META)
+            assert fast_reference_emit_table(times, names, values, fmt, self.META) == ref
+
     @pytest.mark.slow
     def test_every_case_and_method_matches_reference(self, tmp_path):
         from heatpar.cli import compute_kernel
@@ -505,7 +538,7 @@ class TestEmitTable:
         from heatpar.methods import METHODS
         from heatpar.errors import NumericalBudgetError
 
-        from conftest import reference_emit_table
+        from conftest import fast_reference_emit_table
 
         emitted = 0
         for name in sorted(os.listdir(CASES)):
@@ -518,7 +551,7 @@ class TestEmitTable:
                 except (ValueError, NumericalBudgetError):
                     continue  # a method the document does not support: exit 2 or 3
                 for fmt in ("csv", "json"):
-                    ref = reference_emit_table(times, names, values, fmt, self.META)
+                    ref = fast_reference_emit_table(times, names, values, fmt, self.META)
                     got = self.emitted(tmp_path, times, names, values, fmt)
                     assert got == ref.encode("utf-8"), (name, method, fmt)
                 emitted += 1
@@ -679,6 +712,23 @@ class TestIdentityCommand:
             ]
         )
         assert status == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize(
+        "name", ["watson", "intro", "halfline-special-1", "halfline-special-2"]
+    )
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, name, tol):
+        out = tmp_path / "identity.json"
+        status = run_main(["identity", "--name", name, "--tol", tol, "--out", str(out)])
+        assert status == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--name", "watson", "--x", "nan"],
+                                      ["--name", "intro", "--t", "nan"]])
+    def test_nan_argument_exits_2(self, capsys, args):
+        assert run_main(["identity", *args, "--quad-steps", "100"]) == 2
+        assert "argument nan outside certified range" in capsys.readouterr().err
 
 
 class TestExportCommand:

@@ -1,11 +1,12 @@
 """Integer-order modified Bessel functions I_n and the lattice heat kernels
 built from them.
 
-I_n has one evaluator, ``besseli_row``: a Miller-style backward recurrence
+I_n has one evaluator, ``_miller_rows``: a Miller-style backward recurrence
 in the order, normalized by Σ I_n = e^x and run over an array of arguments
-at once, gives the whole row I_0..I_N; forward recurrence in growing order
-is unstable and is never used.  Below x = 1e-8 the row is its leading term
-(x/2)^k/k!, which is I_k to double precision there, and the recurrence,
+at once, passes every order below its start and keeps the orders a caller
+asks for (``besseli_row``: the row I_0..I_N); forward recurrence in growing
+order is unstable and is never used.  Below x = 1e-8 a column is its
+leading term (x/2)^k/k!, I_k to double precision there, and the recurrence,
 whose ratios 2k/x overflow for the smallest arguments, is not run.
 Arguments are certified on 0 <= x <= 40.
 
@@ -42,31 +43,38 @@ def _check(n: int, x):
         raise DomainError(f"argument {outside[0]} outside certified range [0, {_X_MAX}]")
 
 
-def _miller_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
-    rows = np.zeros((xs.size, n_max + 1))
+def _miller_rows(orders, xs: np.ndarray) -> np.ndarray:
+    """I_k(xs), one column per entry k of ``orders`` (repeats and any order
+    allowed), each bitwise that column of the full row I_0..I_max(orders)."""
+    cols = {}
+    for c, k in enumerate(orders):
+        cols.setdefault(int(k), []).append(c)
+    n_max = max(cols)
+    rows = np.zeros((xs.size, len(orders)))
     # below _TINY the leading term, as a running product
     tiny = xs < _TINY
-    half = xs[tiny] / 2.0
-    lead = np.ones((half.size, n_max + 1))
-    for k in range(1, n_max + 1):
-        lead[:, k] = lead[:, k - 1] * half / k
-    rows[tiny] = lead
+    half, lead = xs[tiny] / 2.0, np.ones(np.count_nonzero(tiny))
+    leads = np.empty((half.size, len(orders)))
+    for k in range(n_max + 1 if half.size else 0):
+        for c in cols.get(k, ()):
+            leads[:, c] = lead
+        lead = lead * half / (k + 1)
+    rows[tiny] = leads
     x = xs[~tiny]
-    if not x.size:
-        return rows
     # one recurrence per argument, each from its own start order: a column
     # stays zero until the shared countdown reaches its start, where it
-    # takes its seed
+    # takes its seed; the countdown passes every order below the start, and
+    # the requested ones are kept
     start = np.maximum(n_max, np.ceil(x)).astype(int) + 60
-    out = np.zeros((x.size, n_max + 1))
+    out = np.zeros((x.size, len(orders)))
     b_hi = np.zeros(x.size)
     b = np.zeros(x.size)
     norm = np.zeros(x.size)
-    for k in range(int(start.max()), 0, -1):
+    for k in range(int(start.max(initial=0)), 0, -1):
         b[start == k] = 1e-300
         b_hi, b = b, b_hi + (2.0 * k / x) * b
-        if k - 1 <= n_max:
-            out[:, k - 1] = b
+        for c in cols.get(k - 1, ()):
+            out[:, c] = b
         norm += 2.0 * b if k - 1 > 0 else b
         big = np.abs(b) > _RESCALE
         if big.any():
@@ -79,8 +87,10 @@ def _miller_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
 
 
 def besseli(n: int, x: float) -> float:
-    """I_n(x), n >= 0, 0 <= x <= 40: entry n of ``besseli_row(n, x)``."""
-    return float(besseli_row(n, x)[n])
+    """I_n(x), n >= 0, 0 <= x <= 40, from the recurrence asked for order n
+    alone: bitwise entry n of ``besseli_row(n, x)``."""
+    _check(n, x)
+    return float(_miller_rows([n], np.array([x], dtype=float))[0, 0])
 
 
 def besseli_row(n_max: int, x) -> np.ndarray:
@@ -88,7 +98,7 @@ def besseli_row(n_max: int, x) -> np.ndarray:
     recurrence pass for all arguments, with the orders on a new last axis."""
     _check(n_max, x)
     xs = np.asarray(x, dtype=float)
-    return _miller_rows(int(n_max), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
+    return _miller_rows(range(int(n_max) + 1), xs.ravel()).reshape(xs.shape + (int(n_max) + 1,))
 
 
 def bessel_tail_bound(n: int, x: float) -> float:
@@ -164,14 +174,13 @@ def halfline_dirichlet_closed_form(coords) -> ClosedFormKernel:
 
 def _orders_on_grid(orders: list[int], end: float, steps: int) -> np.ndarray:
     """I_k at the steps + 1 trapezoid nodes of [0, end], one column per order
-    k in ``orders``, from rows I_0..I_max(orders) taken a block of nodes at a
-    time, so memory stays bounded however large the orders are."""
+    k in ``orders``, a block of nodes at a time, so memory stays bounded in
+    both the node count and the orders."""
     _check(min(orders), end)
     taus = np.linspace(0.0, end, steps + 1)
-    top = max(orders)
-    return np.concatenate(
-        [besseli_row(top, taus[s])[:, orders] for s in time_blocks(taus.size, top + 1)]
-    )
+    # a node holds its kept columns and about 8 working values of the pass
+    blocks = time_blocks(taus.size, len(orders) + 8)
+    return np.concatenate([_miller_rows(orders, taus[s]) for s in blocks])
 
 
 def bessel_time_convolve(m: int, n: int, x: float, quad_steps: int) -> float:
@@ -189,9 +198,8 @@ def watson_series(m: int, n: int, x: float, terms: int) -> tuple[float, float]:
     if terms < 1:
         raise ContractViolation("terms must be >= 1")
     _check(min(m, n), x)
-    top = m + n + 2 * (terms - 1) + 1
-    row = besseli_row(top, x)
-    total = 2.0 * sum(row[m + n + 2 * k + 1] for k in range(terms))
+    odd = range(m + n + 1, m + n + 2 * terms, 2)  # m+n+2k+1 for k < terms
+    total = 2.0 * sum(_miller_rows(odd, np.array([float(x)]))[0])
     # tail: 2 Σ_{k>=terms} bound(m+n+2k+1); consecutive bounds shrink by
     # (x/2)^2 / ((p+1)(p+2)) <= q < 1 once p exceeds x, giving a geometric cap
     p = m + n + 2 * terms + 1

@@ -78,7 +78,6 @@ def series_tail_bound(length: float, t: float, n_modes: int) -> float:
 class VoronoiCell1D:
     """Interval of points nearer to ``position`` than to any other vertex."""
 
-    vertex: int
     position: float
     a: float
     b: float
@@ -108,7 +107,7 @@ def build_voronoi(positions, length: float, delta_fraction: float) -> list[Voron
     bounds.append(length)
     delta = delta_fraction * min(b - a for a, b in zip(bounds, bounds[1:])) / 2.0
     return [
-        VoronoiCell1D(vertex=i, position=pos[i], a=bounds[i], b=bounds[i + 1], delta=delta)
+        VoronoiCell1D(position=pos[i], a=bounds[i], b=bounds[i + 1], delta=delta)
         for i in range(len(pos))
     ]
 
@@ -183,10 +182,8 @@ _MODE_BLOCK = 32  # modes per angle-addition block in the overlaps
 _EXP_UNDERFLOW = 745.2
 
 
-def _mode_overlaps(
-    d: IntervalDomain, cells, bumps: BumpFamily, quad_points: int
-) -> np.ndarray:
-    """s[m, v] = ∫ sin((m+1)πx/L) η_v(x) dx over each cell.
+def _mode_overlaps(d: IntervalDomain, bumps: BumpFamily, quad_points: int) -> np.ndarray:
+    """s[m, v] = ∫ sin((m+1)πx/L) η_v(x) dx over each cell of ``bumps``.
 
     Mode q + r, with q a multiple of ``_MODE_BLOCK`` and 1 <= r <= _MODE_BLOCK,
     is expanded as sin qθ·cos rθ + cos qθ·sin rθ (θ = πx/L), so each node
@@ -196,8 +193,8 @@ def _mode_overlaps(
     blocks = -(-d.n_modes // _MODE_BLOCK)
     q = np.arange(blocks)[:, None] * _MODE_BLOCK
     r = np.arange(1, _MODE_BLOCK + 1)[:, None]
-    out = np.empty((d.n_modes, len(cells)))
-    for v, cell in enumerate(cells):
+    out = np.empty((d.n_modes, len(bumps.cells)))
+    for v, cell in enumerate(bumps.cells):
         xs, ws = _cell_quadrature(cell, quad_points)
         weighted = ws * bumps.evaluate(v, xs)
         theta = xs * (math.pi / d.length)
@@ -208,11 +205,7 @@ def _mode_overlaps(
 
 
 def averaged_parametrix(
-    d: IntervalDomain,
-    cells: list[VoronoiCell1D],
-    bumps: BumpFamily,
-    grid: TimeGrid,
-    graph: WeightedGraph,
+    d: IntervalDomain, bumps: BumpFamily, grid: TimeGrid, graph: WeightedGraph
 ) -> Parametrix:
     """Average the interval kernel against the bump family to obtain an
     order-zero parametrix for the embedded graph, with the symmetric
@@ -221,11 +214,11 @@ def averaged_parametrix(
     overlaps; if the estimated error exceeds 1e-6 the resolution is
     rejected.
     """
-    if len(cells) != graph.n:
+    if len(bumps.cells) != graph.n:
         raise ContractViolation("graph size does not match the cell count")
-    mu = np.array([c.measure for c in cells])
-    s = _mode_overlaps(d, cells, bumps, d.quad_points)
-    s_fine = _mode_overlaps(d, cells, bumps, 2 * d.quad_points)
+    mu = np.array([c.measure for c in bumps.cells])
+    s = _mode_overlaps(d, bumps, d.quad_points)
+    s_fine = _mode_overlaps(d, bumps, 2 * d.quad_points)
     rates = d.rates()
     weights0 = (2.0 / d.length) * np.exp(-rates * grid.dt)
     probe = np.abs(

@@ -77,6 +77,8 @@ def _interval(doc, grid, tol):
     if not doc.positions:
         raise ParseError("the document has no positions block")
     length = float(doc.interval.get("length", 1.0))
+    if length * length == math.inf:
+        raise ParseError(f"interval 'length' {length:g} is too large: its square overflows")
     # certify the sine tail at the Dirac-probe time scale; the truncated
     # series is itself the parametrix being corrected, so finer time
     # grids do not demand more modes
@@ -85,9 +87,8 @@ def _interval(doc, grid, tol):
     quad_points = doc.interval.get("quad_points", 1600)
     delta_fraction = float(doc.interval.get("delta_fraction", 0.49))
     dom = IntervalDomain(length=length, n_modes=n_modes, quad_points=quad_points)
-    cells = build_voronoi(doc.position_list(), length, delta_fraction)
-    bumps = build_bumps(cells, quad_points)
-    p = averaged_parametrix(dom, cells, bumps, grid, doc.graph)
+    bumps = build_bumps(build_voronoi(doc.position_list(), length, delta_fraction), quad_points)
+    p = averaged_parametrix(dom, bumps, grid, doc.graph)
     return heat_kernel_via_parametrix(p, tol)
 
 

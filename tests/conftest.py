@@ -364,12 +364,12 @@ def recursive_boundary_sets(e: SubgraphEmbedding):
     return boundary, interior, second
 
 
-def full_mode_parametrix(d, cells, bumps, grid, graph):
+def full_mode_parametrix(d, bumps, grid, graph):
     """Reference for the symmetric ``averaged_parametrix`` samples and heat
     image: every sine mode summed at every time, on the refined overlaps.
     Returns (H, LH) at the grid nodes."""
-    mu = np.array([c.measure for c in cells])
-    s = _mode_overlaps(d, cells, bumps, 2 * d.quad_points)
+    mu = np.array([c.measure for c in bumps.cells])
+    s = _mode_overlaps(d, bumps, 2 * d.quad_points)
     rates = d.rates()
     nv = graph.n
     norm = 1.0 / np.sqrt(np.outer(mu, mu))

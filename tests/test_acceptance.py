@@ -224,14 +224,14 @@ def test_criterion_7_interval_embedding():
     t0 = 1e-4 / math.pi**2
 
     # H at t0 is node 1 of a one-step grid
-    h0 = averaged_parametrix(dom, cells, bumps, TimeGrid(t0, 1), g).samples[1]
+    h0 = averaged_parametrix(dom, bumps, TimeGrid(t0, 1), g).samples[1]
     dirac = max(
         float(np.abs(np.diag(h0) - 1.0).max()),
         float(np.abs(h0 - np.diag(np.diag(h0))).max()),
     )
 
     grid = TimeGrid(0.5, 262_144)
-    p = averaged_parametrix(dom, cells, bumps, grid, g)
+    p = averaged_parametrix(dom, bumps, grid, g)
     symmetric = heat_kernel_via_parametrix(p, 1e-8)
     first = heat_kernel_via_parametrix(first_variable_parametrix(p, cells, g), 1e-8)
     spectral = sample_closed_form(spectral_kernel(g), grid)

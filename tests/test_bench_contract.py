@@ -134,6 +134,10 @@ def lattice_hole_verify(tmp_path):
 
 LOAD = {"cli.compute_kernel", "documents.load_document"}
 SOLVE = {"parametrix.neumann_series", "parametrix.assemble_heat_kernel"}
+# call counts a workload pins: one Bessel row per lattice-kernel sampling of
+# the Dirichlet workload (the parametrix's ambient kernel and the closed form
+# it is checked against), so no caller routes around the counted layer
+PINNED = {dirichlet_verify: {"bessel.besseli_row": 2}}
 
 
 @pytest.mark.parametrize(
@@ -158,3 +162,5 @@ def test_workload_layers_reach_the_tracer(monkeypatch, tmp_path, workload, used)
     out = str(tmp_path / "out")
     assert cli.main([*workload(tmp_path), "--out", out]) == 0
     assert {name for name in used if counts[name] == 0} == set()
+    pinned = PINNED.get(workload, {})
+    assert {name: counts[name] for name in pinned} == pinned

@@ -8,6 +8,7 @@ from scipy.special import ive
 
 from heatpar.bessel import (
     _TINY,
+    _orders_on_grid,
     bessel_tail_bound,
     bessel_time_convolve,
     besseli,
@@ -140,6 +141,47 @@ class TestAgainstMpmath:
         rows = besseli_row(50, xs)
         for x, row in zip(xs, rows):
             assert np.array_equal(row, besseli_row(50, x))
+
+
+# arguments from 0 to the top of the certified range, on both sides of the
+# switch to the leading term
+ORDER_ARGS = [0.0, 1e-300, 1e-9, float(np.nextafter(_TINY, 0.0)), _TINY,
+              1e-3, 0.7, 5.0, 23.0, 40.0]
+
+
+class TestRequestedOrders:
+    """The recurrence keeps only the orders asked for, and each kept column
+    is bitwise the matching column of the full row."""
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 200])
+    def test_scalar_is_its_row_entry(self, n):
+        for x in ORDER_ARGS:
+            assert besseli(n, x) == besseli_row(n, x)[n]
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 200])
+    @pytest.mark.parametrize("end,steps", [(2e-8, 40), (40.0, 50000)])
+    def test_grid_columns_are_row_columns(self, n, end, steps):
+        # repeated and unsorted orders; the nodes of [0, 2e-8] straddle the
+        # switch, and 50001 nodes take several blocks, checked at every 101st
+        orders = [n, 1, n, 0, 1]
+        got = _orders_on_grid(orders, end, steps)
+        taus = np.linspace(0.0, end, steps + 1)
+        picked = np.r_[0 : steps + 1 : 1 + steps // 500, steps]
+        ref = besseli_row(max(orders), taus[picked])[:, orders]
+        assert np.array_equal(got[picked], ref)
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 200])
+    def test_watson_totals_are_row_sums(self, n):
+        for x in ORDER_ARGS:
+            for m, terms in ((0, 12), (3, 25)):
+                row = besseli_row(m + n + 2 * terms - 1, x)
+                ref = 2.0 * sum(row[m + n + 2 * k + 1] for k in range(terms))
+                assert watson_series(m, n, x, terms)[0] == ref
+
+    def test_intro_memory_is_linear_in_the_order(self):
+        # a block of full rows I_0..I_1999 over the 4001 nodes takes 6.5 MB;
+        # the three requested columns take 96 kB
+        assert traced_peak(intro_identity_sum, 2000, 0, 1.0, 0, 4000) < 2e6
 
 
 class TestTailBound:

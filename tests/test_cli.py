@@ -169,7 +169,7 @@ class TestKernelCommand:
 
     @pytest.mark.parametrize(
         "key,value", [("modes", True), ("modes", 520.9), ("quad_points", True),
-                      ("length", True), ("delta_fraction", float("inf"))]
+                      ("length", True), ("length", 1e200), ("delta_fraction", float("inf"))]
     )
     def test_bad_interval_setting_exits_2(self, tmp_path, capsys, key, value):
         with open(case("path3_interval.json"), encoding="utf-8") as f:

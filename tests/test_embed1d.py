@@ -152,7 +152,7 @@ class TestAveragedParametrix:
     def sample_at(self, t):
         """H at time ``t``: node 1 of a one-step grid."""
         grid = TimeGrid(t, 1)
-        return averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g).samples[1]
+        return averaged_parametrix(self.dom, self.bumps, grid, self.g).samples[1]
 
     def test_dirac_at_probe_time(self):
         t0 = 1e-4 / math.pi**2
@@ -168,14 +168,14 @@ class TestAveragedParametrix:
         off = h0 - np.diag(np.diag(h0))
         assert max(np.abs(np.diag(h0) - 1.0).max(), np.abs(off).max()) <= 0.005
         grid = TimeGrid(0.5, 32768)
-        p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
+        p = averaged_parametrix(self.dom, self.bumps, grid, self.g)
         k = heat_kernel_via_parametrix(p, 1e-8)
         spectral = sample_closed_form(spectral_kernel(self.g), grid)
         assert compare_kernels(k, spectral, grid.nodes).sup_error <= 1e-3
 
     def test_symmetric_normalization_is_symmetric(self):
         grid = TimeGrid(0.5, 8)
-        p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
+        p = averaged_parametrix(self.dom, self.bumps, grid, self.g)
         for j in (0, 4, 8):
             m = p.samples[j]
             assert np.abs(m - m.T).max() <= 1e-14
@@ -183,7 +183,7 @@ class TestAveragedParametrix:
     def test_derivative_matches_finite_difference(self):
         # the heat image carries ∂_t H as LH − ΔH; t = 0.2 is node 4
         grid = TimeGrid(0.4, 8)
-        p = averaged_parametrix(self.dom, self.cells, self.bumps, grid, self.g)
+        p = averaged_parametrix(self.dom, self.bumps, grid, self.g)
         j, h = 4, 1e-6
         t = grid.nodes[j]
         dh = p.heat_image[j] - self.g.laplacian_matrix() @ p.samples[j]
@@ -197,7 +197,7 @@ class TestAveragedParametrix:
         rates = self.dom.rates()
         from heatpar.embed1d import _mode_overlaps
 
-        s = _mode_overlaps(self.dom, self.cells, self.bumps, 1600)
+        s = _mode_overlaps(self.dom, self.bumps, 1600)
         norm = 1.0 / np.sqrt(np.outer(mu, mu))
         ts = np.logspace(-9, math.log10(0.5), 40)
         for order in (1, 2):
@@ -217,23 +217,21 @@ class TestAveragedParametrix:
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=24)
         grid = TimeGrid(0.5, 4096)
         with pytest.raises(ResolutionError):
-            averaged_parametrix(dom, self.cells, self.bumps, grid, self.g)
+            averaged_parametrix(dom, self.bumps, grid, self.g)
 
     def test_size_mismatch(self):
         grid = TimeGrid(0.5, 8)
         with pytest.raises(ContractViolation):
-            averaged_parametrix(
-                self.dom, self.cells, self.bumps, grid, WeightedGraph.path(4)
-            )
+            averaged_parametrix(self.dom, self.bumps, grid, WeightedGraph.path(4))
 
 
 def interval_case():
     """The `cases/path3_interval.json` setup that `heatpar kernel --method
-    parametrix-embed` builds: graph, cells, bumps and domain."""
+    parametrix-embed` builds: graph, bumps and domain."""
     doc = load_document(os.path.join(CASES, "path3_interval.json"))
-    cells = build_voronoi(doc.position_list(), 1.0, 0.49)
+    bumps = build_bumps(build_voronoi(doc.position_list(), 1.0, 0.49))
     n_modes = modes_for_time(1.0, 1e-4 / math.pi**2, 1e-10)
-    return doc.graph, cells, build_bumps(cells), IntervalDomain(1.0, n_modes, 1600)
+    return doc.graph, bumps, IntervalDomain(1.0, n_modes, 1600)
 
 
 class TestSineSeries:
@@ -245,7 +243,7 @@ class TestSineSeries:
         dom = IntervalDomain(length=length, n_modes=n_modes)
         freqs = np.arange(1, n_modes + 1) * math.pi / length
         for quad_points in (1600, 3200):
-            s = _mode_overlaps(dom, cells, bumps, quad_points)
+            s = _mode_overlaps(dom, bumps, quad_points)
             ref = np.empty_like(s)
             for v, cell in enumerate(cells):
                 xs, ws = _cell_quadrature(cell, quad_points)
@@ -258,18 +256,18 @@ class TestSineSeries:
         assert not np.exp(-np.full(37, _EXP_UNDERFLOW)).any()
 
     def test_mode_sums_match_full_mode_reference(self):
-        g, cells, bumps, dom = interval_case()
+        g, bumps, dom = interval_case()
         grid = TimeGrid(0.25, 8192)
-        p = averaged_parametrix(dom, cells, bumps, grid, g)
-        h, lh = full_mode_parametrix(dom, cells, bumps, grid, g)
+        p = averaged_parametrix(dom, bumps, grid, g)
+        h, lh = full_mode_parametrix(dom, bumps, grid, g)
         assert np.all(np.abs(p.samples - h) <= 1e-12 * np.maximum(1.0, np.abs(h)))
         assert np.all(np.abs(p.heat_image - lh) <= 1e-12 * np.maximum(1.0, np.abs(lh)))
 
     def test_peak_memory_has_no_times_by_modes_array(self):
         # all 510 modes at all 16385 times would be 67 MB for one exponential array
-        g, cells, bumps, dom = interval_case()
+        g, bumps, dom = interval_case()
         grid = TimeGrid(0.25, 16384)
-        assert traced_peak(averaged_parametrix, dom, cells, bumps, grid, g) < 20e6
+        assert traced_peak(averaged_parametrix, dom, bumps, grid, g) < 20e6
 
 
 @pytest.mark.slow
@@ -277,22 +275,20 @@ class TestEmbeddedKernel:
     def test_single_vertex_graph(self):
         # no edges: the embedded kernel must be constant one
         g = WeightedGraph(np.zeros((1, 1)))
-        cells = build_voronoi([0.5], 1.0, 0.49)
-        bumps = build_bumps(cells)
+        bumps = build_bumps(build_voronoi([0.5], 1.0, 0.49))
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 32768)
-        p = averaged_parametrix(dom, cells, bumps, grid, g)
+        p = averaged_parametrix(dom, bumps, grid, g)
         assert p.samples[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
         hg = heat_kernel_via_parametrix(p, 1e-8)
         assert np.abs(hg - 1.0).max() <= 2e-3
 
     def test_path3_against_spectral(self):
         g = WeightedGraph.path(3)
-        cells = build_voronoi([0.17, 0.5, 0.83], 1.0, 0.49)
-        bumps = build_bumps(cells)
+        bumps = build_bumps(build_voronoi([0.17, 0.5, 0.83], 1.0, 0.49))
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 65536)
-        p = averaged_parametrix(dom, cells, bumps, grid, g)
+        p = averaged_parametrix(dom, bumps, grid, g)
         hg = heat_kernel_via_parametrix(p, 1e-8)
         sp = sample_closed_form(spectral_kernel(g), grid)
         assert compare_kernels(hg, sp, grid.nodes).sup_error <= 8e-3
@@ -300,11 +296,11 @@ class TestEmbeddedKernel:
     def test_halving_dt_cuts_the_error_fourfold(self):
         # the embed-refine benchmark's check: t <= 0.25 at 8192 and 16384
         # steps against the spectral oracle, second order in dt
-        g, cells, bumps, dom = interval_case()
+        g, bumps, dom = interval_case()
         errors = []
         for steps in (8192, 16384):
             grid = TimeGrid(0.25, steps)
-            k = heat_kernel_via_parametrix(averaged_parametrix(dom, cells, bumps, grid, g), 1e-8)
+            k = heat_kernel_via_parametrix(averaged_parametrix(dom, bumps, grid, g), 1e-8)
             spectral = sample_closed_form(spectral_kernel(g), grid)
             errors.append(compare_kernels(k, spectral, grid.nodes).sup_error)
         assert errors[0] <= 6e-3 and errors[1] <= 1.5e-3
@@ -316,7 +312,7 @@ class TestEmbeddedKernel:
         bumps = build_bumps(cells)
         dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
         grid = TimeGrid(0.5, 32768)
-        p = averaged_parametrix(dom, cells, bumps, grid, g)
+        p = averaged_parametrix(dom, bumps, grid, g)
         hs = [
             heat_kernel_via_parametrix(q, 1e-8) for q in (p, first_variable_parametrix(p, cells, g))
         ]
@@ -330,9 +326,8 @@ class TestEmbeddedKernel:
         grid = TimeGrid(0.5, 32768)
         results = []
         for dfrac in (0.49, 0.245):
-            cells = build_voronoi([0.17, 0.5, 0.83], 1.0, dfrac)
-            bumps = build_bumps(cells)
-            p = averaged_parametrix(dom, cells, bumps, grid, g)
+            bumps = build_bumps(build_voronoi([0.17, 0.5, 0.83], 1.0, dfrac))
+            p = averaged_parametrix(dom, bumps, grid, g)
             results.append(heat_kernel_via_parametrix(p, 1e-8))
         # budgets: ~2.4e-2 for the wide collar at this grid, about 8x that
         # for the halved collar (the layer energy scales like 1/delta^3)

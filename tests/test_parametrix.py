@@ -69,10 +69,8 @@ def path3_interval_parametrix(steps: int, t_max: float = 0.5) -> Parametrix:
     builds it: vertices at 0.25, 0.5, 0.75 in (0, 1)."""
     probe = 1e-4 / math.pi**2
     dom = IntervalDomain(length=1.0, n_modes=modes_for_time(1.0, probe, 1e-10))
-    cells = build_voronoi([0.25, 0.5, 0.75], 1.0, 0.49)
-    return averaged_parametrix(
-        dom, cells, build_bumps(cells), TimeGrid(t_max, steps), WeightedGraph.path(3)
-    )
+    bumps = build_bumps(build_voronoi([0.25, 0.5, 0.75], 1.0, 0.49))
+    return averaged_parametrix(dom, bumps, TimeGrid(t_max, steps), WeightedGraph.path(3))
 
 
 class TestDiagonalParametrix:

@@ -115,7 +115,9 @@ def _embedded_parametrix(
     if ambient_kernel.n != e.ambient.n:
         raise ContractViolation("ambient kernel size does not match ambient graph")
     kept = np.array(e.kept)
-    support = np.union1d(np.flatnonzero(coupling.any(axis=1)), zeroed).astype(int)
+    on_support = coupling.any(axis=1)
+    on_support[list(zeroed)] = True
+    support = np.flatnonzero(on_support)
     rows = coupling[support]
     h, lh = sample_closed_form(
         ambient_kernel,
@@ -348,8 +350,8 @@ def complete_graph_kernel(n: int) -> ClosedFormKernel:
 
 def ambient_spectral_kernel(g: WeightedGraph) -> ClosedFormKernel:
     """Heat kernel Σ_j e^{−λ_j t} ψ_j ψ_jᵀ of a finite graph, for ambients
-    with no closed form.  It uses LAPACK's symmetric eigensolver, so the
-    Jacobi-based ``spectral`` oracle stays independent of it.  The c
+    with no closed form, by LAPACK; the ``spectral`` oracle takes LAPACK's
+    basis of its own Laplacian only as a start for Jacobi's test.  The c
     smallest eigenvalues, c the number of connected components, are set to
     exactly 0, so the kernel is exact at large t too."""
     lam, v = np.linalg.eigh(g.laplacian_matrix())

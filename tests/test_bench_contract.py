@@ -134,10 +134,14 @@ def lattice_hole_verify(tmp_path):
 
 LOAD = {"cli.compute_kernel", "documents.load_document"}
 SOLVE = {"parametrix.neumann_series", "parametrix.assemble_heat_kernel"}
-# call counts a workload pins: one Bessel row per lattice-kernel sampling of
-# the Dirichlet workload (the parametrix's ambient kernel and the closed form
-# it is checked against), so no caller routes around the counted layer
-PINNED = {dirichlet_verify: {"bessel.besseli_row": 2}}
+# call counts a workload pins, so no caller routes around the counted layer:
+# one Bessel row per lattice-kernel sampling of the Dirichlet workload (the
+# parametrix's ambient kernel and the closed form it is checked against), and
+# one eigensolve, LAPACK start included, per verified lattice document
+PINNED = {
+    dirichlet_verify: {"bessel.besseli_row": 2},
+    lattice_hole_verify: {"oracle.spectral_decomposition": 1},
+}
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,18 @@ class TestKernelCommand:
         assert status == 3
         assert "overflows the expm scaling" in capsys.readouterr().err
 
+    def test_spectral_of_overflowing_degree_exits_2(self, tmp_path, capsys):
+        # the weighted degree of b is 2e308 = inf, which Jacobi refuses
+        # instead of sweeping NaNs
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                   "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}))
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the degree sum
+            status = run_main(["kernel", "--graph", str(doc), "--method", "spectral",
+                               "--t-max", "1", "--steps", "1"])
+        assert status == 2
+        assert "jacobi_eigh requires a finite matrix" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["parametrix-restriction", "dirichlet",
                                         "closed-form-halfline",
                                         "closed-form-halfline-dirichlet"])
@@ -417,7 +429,9 @@ class TestKernelCommand:
 
 def test_restriction_runs_without_the_jacobi_oracle(monkeypatch):
     # the ambient-spectral parametrix is checked against the Jacobi-based
-    # `spectral` oracle, so it must not use that eigensolver itself
+    # `spectral` oracle, so it must not use that eigensolver itself; LAPACK
+    # only proposes the oracle's starting basis, for the kept graph's own
+    # Laplacian, and Jacobi's convergence test decides whether it is accepted
     import numpy as np
 
     from heatpar import cli, oracle
@@ -793,6 +807,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, 0, 0], False]
+
+    def test_embedding_runs_leave_numpy_ma_unloaded(self, tmp_path):
+        # a support taken with np.union1d would import numpy.ma (through
+        # np.unique) in every restriction and Dirichlet run
+        from conftest import lattice_hole_document
+
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps(lattice_hole_document(seed=1)))
+        common = ["--t-max", "1", "--steps", "25", "--budget", "1e-3",
+                  "--out", str(tmp_path / "out")]
+        runs = [
+            ["verify", "--graph", str(lattice), "--method-a", "parametrix-restriction",
+             "--method-b", "spectral", *common],
+            ["verify", "--graph", case("halfline_w40.json"), "--method-a", "dirichlet",
+             "--method-b", "closed-form-halfline-dirichlet", *common],
+        ]
+        script = (
+            "import json, sys\n"
+            "from heatpar.cli import main\n"
+            "status = [main(args) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([status, 'numpy.ma' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], False]
 
     @pytest.mark.skipif(
         not getattr(os, "confstr_names", {}).get("CS_GNU_LIBC_VERSION"),

@@ -50,6 +50,18 @@ class TestJacobi:
         with pytest.raises(ContractViolation):
             jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_requires_finite_entries(self):
+        with pytest.raises(ContractViolation, match="finite"):
+            jacobi_eigh(np.array([[1.0, math.inf], [math.inf, 1.0]]))
+
+    def test_stop_test_survives_an_overflowing_norm(self):
+        # ||L||_F² overflows at an edge of weight 1e160, which once made
+        # the stopping test pass before the first rotation
+        w = np.array([[0.0, 1e160, 0.0], [1e160, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        g = WeightedGraph(w)
+        t = 1e-160
+        assert np.abs(spectral_kernel(g).at(t) - expm_heat_kernel(g, t)).max() <= 1e-10
+
 
 def weighted_graph(rng, n: int, p_edge: float = 0.4) -> WeightedGraph:
     w = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.uniform(size=(n, n)) < p_edge)
@@ -79,19 +91,64 @@ class TestRoundRobinJacobi:
     def test_matches_sequential_sweeps(self, lap):
         # eigenvectors are not unique at degenerate eigenvalues, so compare
         # the heat kernels they build
-        lam, v = jacobi_eigh(lap)
-        lam_ref, v_ref = sequential_jacobi_eigh(lap)
-        budget = 1e-12 * max(1.0, float(np.linalg.norm(lap)))
-        assert np.abs(lam - lam_ref).max() <= budget
-        for t in (0.0, 0.1, 1.0):
-            heat = (v * np.exp(-t * lam)) @ v.T
-            heat_ref = (v_ref * np.exp(-t * lam_ref)) @ v_ref.T
-            assert np.abs(heat - heat_ref).max() <= budget
+        assert_matches_sequential(lap, *jacobi_eigh(lap))
 
-    def test_sweep_budget_exhausted(self, rng):
+    def test_sweep_budget_exhausted(self, monkeypatch, rng):
+        # from the identity, which a non-orthogonal LAPACK basis forces
         lap = weighted_graph(rng, 10, p_edge=0.6).laplacian_matrix()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.diag(a), np.ones_like(a)))
         with pytest.raises(ContractViolation):
             jacobi_eigh(lap, max_sweeps=1)
+
+
+def lattice_hole_laplacian(seed: int = 1) -> np.ndarray:
+    return parse_document(json.dumps(lattice_hole_document(seed=seed))).graph.laplacian_matrix()
+
+
+def assert_matches_sequential(lap, lam, v):
+    lam_ref, v_ref = sequential_jacobi_eigh(lap)
+    budget = 1e-12 * max(1.0, float(np.linalg.norm(lap)))
+    assert np.abs(lam - lam_ref).max() <= budget
+    for t in (0.0, 0.1, 1.0):
+        heat = (v * np.exp(-t * lam)) @ v.T
+        heat_ref = (v_ref * np.exp(-t * lam_ref)) @ v_ref.T
+        assert np.abs(heat - heat_ref).max() <= budget
+
+
+class TestStartingBasis:
+    # a budget of two sweeps passes exactly when one sweep converges: the
+    # second only runs the stopping test
+
+    def test_lapack_start_converges_in_one_sweep(self):
+        lap = lattice_hole_laplacian()
+        assert_matches_sequential(lap, *jacobi_eigh(lap, max_sweeps=2))
+
+    def test_wrong_orthogonal_start_costs_sweeps_not_accuracy(self, monkeypatch):
+        lap = lattice_hole_laplacian()
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal(lap.shape))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.diag(a), q))
+        assert_matches_sequential(lap, *jacobi_eigh(lap))
+        with pytest.raises(ContractViolation, match="failed to converge"):
+            jacobi_eigh(lap, max_sweeps=2)
+
+    def test_bad_start_falls_back_to_the_identity(self, monkeypatch):
+        lap = lattice_hole_laplacian()
+
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        def skewed(a):
+            return np.diag(a), np.eye(len(a)) + 1e-9
+
+        results = []
+        for fake in (lapack_fails, skewed):
+            monkeypatch.setattr(np.linalg, "eigh", fake)
+            results.append(jacobi_eigh(lap))
+            # a cold start takes about ten sweeps here
+            with pytest.raises(ContractViolation, match="failed to converge"):
+                jacobi_eigh(lap, max_sweeps=2)
+        assert all(np.array_equal(x, y) for x, y in zip(*results))
+        assert_matches_sequential(lap, *results[0])
 
 
 class TestSpectralKernel:

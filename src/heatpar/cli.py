@@ -15,7 +15,8 @@ kernel here is symmetric, has entries in [0, 1] and row sums at most 1.
 Output is deterministic: rows are time-major (then first vertex, then
 second), CSV carries 17 significant digits, JSON is emitted with sorted
 keys.  HEATPAR_THREADS, a positive integer (exit 2 otherwise), sets the
-numeric libraries' thread pools over any preset BLAS thread variables.
+numeric libraries' thread pools over any preset BLAS thread variables;
+without it and without any of them, the pools take one thread.
 """
 
 from __future__ import annotations
@@ -37,19 +38,26 @@ EXIT_BUDGET = 3
 ERROR_LIMIT = 0.1
 
 
+_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _apply_thread_env():
     """Copy HEATPAR_THREADS, which must be a positive integer, over the BLAS
-    thread-pool variables."""
+    thread-pool variables; without it, and with none of them preset, set
+    them to 1.  The blocked products here are small, and on a few cores a
+    pool's threads cost more than they save."""
     threads = os.environ.get("HEATPAR_THREADS")
     if threads is None:
-        return
+        if any(var in os.environ for var in _POOLS):
+            return
+        threads = "1"
     try:
         count = int(threads)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"HEATPAR_THREADS must be a positive integer, got {threads!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _POOLS:
         os.environ[var] = str(count)
 
 

@@ -30,6 +30,13 @@ def _as_weight_matrix(weights) -> np.ndarray:
         raise ContractViolation("self-loops are not allowed (diagonal must be zero)")
     if not np.array_equal(w, w.T):
         raise ContractViolation("weight matrix must be symmetric")
+    with np.errstate(over="ignore"):  # an overflowing sum is refused just below
+        degree = w.sum(axis=1)
+    if not np.isfinite(degree).all():
+        v = int(np.argmin(np.isfinite(degree)))
+        raise ContractViolation(
+            f"the weighted degree of vertex {v}, the sum of its edge weights, overflows"
+        )
     w = w.copy()
     w.flags.writeable = False
     return w

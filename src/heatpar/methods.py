@@ -2,9 +2,15 @@
 time grid, tolerance) that returns the (M+1, n, n) kernel values, or raises
 ``ParseError`` when the document lacks the block it reads.  Each function
 imports what it calls when called, so this module loads no numpy, and a
-function rebound on its module (as by a tracer) is the one that runs."""
+function rebound on its module (as by a tracer) is the one that runs.
+
+The four parametrix methods convolve by the rule of order ``ORDER``, read
+when they run: Gregory's fourth-order rule, which reaches the accuracy of
+the trapezoid (the library's default) from far fewer time steps."""
 
 from .errors import ParseError
+
+ORDER = 4
 
 
 def ambient_kernel(e):
@@ -58,13 +64,14 @@ def _restriction(doc, grid, tol):
     from .parametrix import heat_kernel_via_parametrix, restriction_parametrix
 
     e = _embedding(doc)
-    return heat_kernel_via_parametrix(restriction_parametrix(e, ambient_kernel(e), grid), tol)
+    p = restriction_parametrix(e, ambient_kernel(e), grid)
+    return heat_kernel_via_parametrix(p, tol, ORDER)
 
 
 def _diagonal(doc, grid, tol):
     from .parametrix import diagonal_parametrix, heat_kernel_via_parametrix
 
-    return heat_kernel_via_parametrix(diagonal_parametrix(doc.graph, grid), tol)
+    return heat_kernel_via_parametrix(diagonal_parametrix(doc.graph, grid), tol, ORDER)
 
 
 def _interval(doc, grid, tol):
@@ -89,14 +96,15 @@ def _interval(doc, grid, tol):
     dom = IntervalDomain(length=length, n_modes=n_modes, quad_points=quad_points)
     bumps = build_bumps(build_voronoi(doc.position_list(), length, delta_fraction), quad_points)
     p = averaged_parametrix(dom, bumps, grid, doc.graph)
-    return heat_kernel_via_parametrix(p, tol)
+    return heat_kernel_via_parametrix(p, tol, ORDER)
 
 
 def _dirichlet(doc, grid, tol):
     from .parametrix import dirichlet_parametrix, heat_kernel_via_parametrix
 
     e = _embedding(doc)
-    return heat_kernel_via_parametrix(dirichlet_parametrix(e, ambient_kernel(e), grid), tol)
+    p = dirichlet_parametrix(e, ambient_kernel(e), grid)
+    return heat_kernel_via_parametrix(p, tol, ORDER)
 
 
 def _complete(doc, grid, tol):

@@ -8,7 +8,10 @@ image LH = (Δ + ∂_t)H, the corrected kernel is
 
 where * is the graph convolution.  The whole discrete series is solved
 directly as a Volterra equation by a power-series inverse; the requested
-tolerance only sizes the factorial term bound reported with it.  Heat
+tolerance only sizes the factorial term bound reported with it.  The
+series, its residual and the assembly take the convolution rule of one
+``order``: 2, the trapezoid and the default, or 4, Gregory's rule (see
+``series``), which the CLI's parametrix methods run.  Heat
 images are always assembled from closed-form values, never by numerically
 differentiating a sampled kernel.
 """
@@ -33,6 +36,7 @@ from .series import (
     ClosedFormKernel,
     TimeGrid,
     _series_product,
+    convolution_rule,
     convolve_values,
     fold_bound,
     sample_closed_form,
@@ -78,11 +82,13 @@ class Parametrix:
 @dataclass(frozen=True)
 class NeumannSeriesResult:
     """Correction series F on the support rows, shape (M+1, |support|, n),
-    with its bound certificate and discrete residual; F vanishes off them."""
+    solved with the convolution rule of ``order``, with its bound
+    certificate and discrete residual; F vanishes off them."""
 
     F: np.ndarray
     grid: TimeGrid
     support: tuple[int, ...]
+    order: int
     terms_used: int
     certified_tail: float
     bound_constant: float
@@ -229,21 +235,47 @@ def series_terms(c: float, n: int, t: float, tol: float) -> int:
     return hi
 
 
-def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
+def _start_values(l_ss: np.ndarray, start: np.ndarray, dt: float) -> np.ndarray:
+    """F_0..F_d on the support block, d = len(``start``): F_0 = −L_0, and
+    F_1..F_d from the d equations F_j + L_j + dt·Σ_ab W[j, a, b]·F_a L_b = 0
+    of the start weights W, which couple them all.  With X = [F_1 … F_d]
+    and the blocks K_aj = Σ_b W[j, a, b]·L_b they are one linear system
+    X·(I + dt·K) = −[L_j + dt·F_0 K_0j]_j of size d·|S|."""
+    f0 = -l_ss[:1]
+    d, s = len(start), l_ss.shape[1]
+    if not d:
+        return f0
+    mixed = np.einsum("jab,bqr->jaqr", start, l_ss[: d + 1])  # K_aj at [j − 1, a]
+    k = mixed[:, 1:].transpose(1, 2, 0, 3).reshape(d * s, d * s)
+    rhs = -(l_ss[1 : d + 1] + dt * (f0[0] @ mixed[:, 0]))
+    try:
+        x = np.linalg.solve(np.eye(d * s) + dt * k.T, rhs.transpose(0, 2, 1).reshape(d * s, s))
+    except np.linalg.LinAlgError:
+        raise NonConvergenceError(_COARSE_GRID) from None
+    return np.concatenate([f0, x.reshape(d, s, s).transpose(0, 2, 1)])
+
+
+def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesResult:
     """The full discrete series F = Σ (−1)^ℓ (LH)^{*ℓ}, solved directly.
 
-    The trapezoid convolution is a power-series product with halved
-    constant terms, conv(a, b) = dt·[a′(z) b′(z)]_{j≥1} with a′₀ = a₀/2, so
-    F solves the discrete Volterra equation F + LH + conv(F, LH) = 0, whose
-    closed form modulo z^{M+1} is
+    F solves the discrete Volterra equation F + LH + conv(F, LH) = 0, with
+    conv the rule of ``order`` (see ``series.convolve_values``).  Rows of F
+    vanish off the support S, so the equation is solved on the S×S block
+    first (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+    Its start values F_0..F_d come from one linear solve
+    (:func:`_start_values`; d is 0 for the trapezoid and min(4, M) for
+    order 4).  From node 2·len(γ) − 1 on, conv is dt times the power-series
+    product of Φ = γ′F and Λ = γ′L, L = LH on the block, so modulo z^{M+1}
 
-        F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹,   then F₀ = −L₀.
+        Φ·(I + dt·Λ) = −Λ + E,
 
-    Rows of F vanish off the support S, so the inverse is taken on the S×S
-    block only (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
-    1985) and one more product F_S = −L_S − conv(F_SS, L_S) gives the
-    support rows, which are all of F that is returned.
-    ``residual`` is the sup of F + LH + conv(F, LH) on that block.
+    with E the polynomial of degree ≤ d that makes the first d + 1
+    coefficients those of the start values.  One power-series inverse and
+    one product give Φ, which is F from node d + 1 on.  For the trapezoid,
+    γ = (½) and this is F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹.  One more
+    convolution F_S = −L_S − conv(F_SS, L_S) gives the support rows, which
+    are all of F that is returned.  ``residual`` is the sup of
+    F + LH + conv(F, LH) on the block.
 
     ``tol`` does not change F; it only sizes the factorial bound.
     ``terms_used`` is the first ℓ whose next term's bound, evaluated at
@@ -257,6 +289,7 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     m1 = lh_s.shape[0]
     dt = p.grid.dt
     t_max = p.grid.t_max
+    head, start = convolution_rule(order, m1 - 1)
     supp = list(p.support)
     n_eff = max(1, len(supp))
     c_emp = 1.1 * float(np.abs(lh_s).max(initial=0.0))
@@ -273,26 +306,34 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     residual = 0.0
     if c_emp > 0.0:
         l_ss = lh_s[:, :, supp]
-        l_prime = l_ss.copy()
-        l_prime[0] *= 0.5
-        num = -l_prime
-        num[0] -= 0.25 * dt * (l_ss[0] @ l_ss[0])
-        den = dt * l_prime
-        den[0] += np.eye(len(supp))
+        weights = np.ones((m1, 1, 1))
+        weights[: len(head), 0, 0] = head[:m1]
+        lam = weights * l_ss
         # overflow shows as a non-finite or huge F, reported just below
         with np.errstate(over="ignore", invalid="ignore"):
+            f_head = _start_values(l_ss, start, dt)
+            phi = weights[: len(f_head)] * f_head
+            num = -lam
+            for j in range(len(f_head)):  # the known head of Φ·(I + dt·Λ)
+                prod = phi[j] @ lam[0]
+                for r in range(1, j + 1):
+                    prod += phi[j - r] @ lam[r]
+                num[j] = phi[j] + dt * prod
+            den = dt * lam
+            den[0] += np.eye(len(supp))
             f_ss = _series_product(num, _series_inverse(den), m1)
-            f_ss[0] = -l_ss[0]
-            f_s = -lh_s - convolve_values(f_ss, lh_s, dt)
+            f_ss[: len(f_head)] = f_head
+            f_s = -lh_s - convolve_values(f_ss, lh_s, dt, order)
             peak = float(np.abs(f_s).max())
             if not math.isfinite(peak) or peak > 1e150:
                 raise NonConvergenceError(_COARSE_GRID)
             f_blk = f_s[:, :, supp]
-            residual = float(np.abs(f_blk + l_ss + convolve_values(f_blk, l_ss, dt)).max())
+            residual = float(np.abs(f_blk + l_ss + convolve_values(f_blk, l_ss, dt, order)).max())
     return NeumannSeriesResult(
         F=f_s,
         grid=p.grid,
         support=p.support,
+        order=order,
         terms_used=terms_used,
         certified_tail=tail,
         bound_constant=c_emp,
@@ -300,22 +341,28 @@ def neumann_series(p: Parametrix, tol: float) -> NeumannSeriesResult:
     )
 
 
-def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> np.ndarray:
+def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult, order: int = 2) -> np.ndarray:
     """H_G = H + H * F on the grid nodes, shape (M+1, n, n), with the
-    convolution restricted to the support of F."""
+    convolution restricted to the support of F and taken by the rule of
+    ``order``, which must be the one ``series`` was solved with."""
     if (series.grid, series.support) != (p.grid, p.support):
         raise ContractViolation("series grid or support does not match the parametrix")
+    if series.order != order:
+        raise ContractViolation(
+            f"series was solved at order {series.order}, assembly asked for order {order}"
+        )
     h = p.samples
-    corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt)
+    corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt, order)
     corr += h  # in place: the correction is a new array, the samples stay as they are
     return corr
 
 
-def heat_kernel_via_parametrix(p: Parametrix, tol: float) -> np.ndarray:
-    """Neumann series then assembly; the correction at the first grid node
-    must be O(dt), as a heat image that is O(1) near t = 0 makes it."""
-    series = neumann_series(p, tol)
-    out = assemble_heat_kernel(p, series)
+def heat_kernel_via_parametrix(p: Parametrix, tol: float, order: int = 2) -> np.ndarray:
+    """Neumann series then assembly, both by the convolution rule of
+    ``order``; the correction at the first grid node must be O(dt), as a
+    heat image that is O(1) near t = 0 makes it."""
+    series = neumann_series(p, tol, order)
+    out = assemble_heat_kernel(p, series, order)
     corr = float(np.abs(out[1] - p.samples[1]).max())
     h_scale = max(1.0, float(np.abs(p.samples[1]).max()))
     limit = 4.0 * series.bound_constant * p.n * p.grid.dt * h_scale + 1e-12

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,16 +181,125 @@ def sequential_jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 
     return lam[order], v[:, order]
 
 
-def reference_series_product(a: np.ndarray, b: np.ndarray, m: int, halved: bool = False):
-    """Reference for ``series._series_product``: the whole spectrum product
-    in one batched matrix product, then the first ``m`` coefficients."""
+def reference_series_product(a: np.ndarray, b: np.ndarray, m: int, head=()):
+    """Reference for ``series._series_product``: both series with their first
+    coefficients scaled by ``head``, then the whole spectrum product in one
+    batched matrix product, then the first ``m`` coefficients."""
     nfft = smooth_fft_len(a.shape[0] + b.shape[0] - 1)
+    a, b = a.copy(), b.copy()
+    for k, g in enumerate(head):
+        a[k] *= g
+        b[k] *= g
     fa = np.fft.rfft(a, n=nfft, axis=0)
     fb = np.fft.rfft(b, n=nfft, axis=0)
-    if halved:
-        fa -= 0.5 * a[0]
-        fb -= 0.5 * b[0]
     return np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
+
+
+# Gregory's end weights of each order, exactly
+GREGORY = {2: (Fraction(1, 2),), 4: (Fraction(3, 8), Fraction(7, 6), Fraction(23, 24))}
+
+
+def exact_start_weights(d: int) -> np.ndarray:
+    """W[j − 1, a, b] = ∫₀ʲ ℓ_a(j − u) ℓ_b(u) du for j = 1..d and the
+    degree-d Lagrange basis ℓ on the nodes 0..d, in rational arithmetic:
+    each ℓ as its coefficients, ℓ_a(j − u) by the binomial expansion, and
+    the product integrated term by term."""
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for k, y in enumerate(q):
+                out[i + k] += x * y
+        return out
+
+    basis = []
+    for a in range(d + 1):
+        poly = [Fraction(1)]
+        for k in range(d + 1):
+            if k != a:
+                poly = mul(poly, [Fraction(-k, a - k), Fraction(1, a - k)])
+        basis.append(poly)
+    out = np.empty((d, d + 1, d + 1))
+    for j in range(1, d + 1):
+        for a, la in enumerate(basis):
+            # ℓ_a(j − u) = Σ_k c_k (j − u)^k
+            refl = [Fraction(0)] * len(la)
+            for k, c in enumerate(la):
+                for i in range(k + 1):
+                    refl[i] += c * math.comb(k, i) * j ** (k - i) * (-1) ** i
+            for b, lb in enumerate(basis):
+                prod = mul(refl, lb)
+                out[j - 1, a, b] = float(sum(c * Fraction(j) ** (k + 1) / (k + 1)
+                                             for k, c in enumerate(prod)))
+    return out
+
+
+def rule_weights(order: int, j: int) -> np.ndarray:
+    """Quadrature weights w_r, r = 0..j, of the convolution rule of ``order``
+    at a node j where its two ends do not overlap: Gregory's end weights at
+    both ends, 1 between."""
+    head = [float(g) for g in GREGORY[order]]
+    w = np.ones(j + 1)
+    w[: len(head)] = head
+    w[j + 1 - len(head):] = head[::-1]
+    return w
+
+
+def dense_convolve(a: np.ndarray, b: np.ndarray, dt: float, order: int) -> np.ndarray:
+    """Reference for ``convolve_values(order=...)`` by direct sums, O(M²):
+    dt·Σ_r w_r a[j−r]b[r] with :func:`rule_weights` from node 2·len(γ) − 1
+    on, and dt·Σ_ab W[j, a, b]·a_a b_b with :func:`exact_start_weights` of
+    degree d = min(2·len(γ) − 2, M) at the d nodes before it."""
+    m1 = a.shape[0]
+    d = min(2 * len(GREGORY[order]) - 2, m1 - 1)
+    start = exact_start_weights(d)
+    out = np.zeros((m1, a.shape[1], b.shape[2]))
+    for j in range(1, m1):
+        if j <= d:
+            terms = [start[j - 1, x, y] * (a[x] @ b[y])
+                     for x in range(d + 1) for y in range(d + 1)]
+        else:
+            w = rule_weights(order, j)
+            terms = [w[r] * (a[j - r] @ b[r]) for r in range(j + 1)]
+        out[j] = dt * np.sum(terms, axis=0)
+    return out
+
+
+def stepping_series(p, order: int) -> np.ndarray:
+    """Reference for ``neumann_series(p, tol, order)``: F + LH + conv(F, LH)
+    = 0 with the :func:`dense_convolve` rule, solved on the support block
+    node by node.  F_0 = −L_0; the start nodes 1..d solve their coupled
+    equations at once, as one Kronecker-product system on the row-major
+    entries of F_1..F_d; every later node solves
+    F_j (I + dt·γ_0·L_0) = −L_j − dt·Σ_{r>=1} w_r F_{j−r} L_r.
+    Returns the support rows F_S = −L_S − conv(F_SS, L_S)."""
+    lh_s = p.heat_image
+    m1, s = lh_s.shape[0], len(p.support)
+    dt = p.grid.dt
+    lss = lh_s[:, :, list(p.support)]
+    d = min(2 * len(GREGORY[order]) - 2, m1 - 1)
+    start = exact_start_weights(d)
+    f = np.zeros_like(lss)
+    f[0] = -lss[0]
+    eye = np.eye(s)
+    if d:
+        # row-major vec(X C) = kron(I, Cᵀ) vec(X)
+        sys_ = np.eye(d * s * s)
+        rhs = np.empty(d * s * s)
+        for j in range(1, d + 1):
+            rows = slice((j - 1) * s * s, j * s * s)
+            known = lss[j] + dt * sum(start[j - 1, 0, y] * (f[0] @ lss[y]) for y in range(d + 1))
+            rhs[rows] = -known.ravel()
+            for x in range(1, d + 1):
+                c = sum(start[j - 1, x, y] * lss[y] for y in range(d + 1))
+                cols = slice((x - 1) * s * s, x * s * s)
+                sys_[rows, cols] += dt * np.kron(eye, c.T)
+        f[1 : d + 1] = np.linalg.solve(sys_, rhs).reshape(d, s, s)
+    for j in range(d + 1, m1):
+        w = rule_weights(order, j)
+        known = lss[j] + dt * sum(w[r] * (f[j - r] @ lss[r]) for r in range(1, j + 1))
+        f[j] = np.linalg.solve((eye + dt * w[0] * lss[0]).T, -known.T).T
+    return -lh_s - dense_convolve(f, lh_s, dt, order)
 
 
 def naive_convolve(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:

@@ -135,12 +135,17 @@ def lattice_hole_verify(tmp_path):
 LOAD = {"cli.compute_kernel", "documents.load_document"}
 SOLVE = {"parametrix.neumann_series", "parametrix.assemble_heat_kernel"}
 # call counts a workload pins, so no caller routes around the counted layer:
-# one Bessel row per lattice-kernel sampling of the Dirichlet workload (the
-# parametrix's ambient kernel and the closed form it is checked against), and
-# one eigensolve, LAPACK start included, per verified lattice document
+# one Bessel row per lattice-kernel sampling of the Dirichlet workload, and
+# one sampling each for the parametrix's ambient kernel and the closed form
+# it is checked against, so no kernel is sampled twice; one eigensolve,
+# LAPACK start included, per verified lattice document; and one series solve
+# and one assembly per parametrix kernel, so the series' start block and the
+# assembly's stay inside the layers the tracer times
+ONE_SOLVE = {"parametrix.neumann_series": 1, "parametrix.assemble_heat_kernel": 1}
 PINNED = {
-    dirichlet_verify: {"bessel.besseli_row": 2},
-    lattice_hole_verify: {"oracle.spectral_decomposition": 1},
+    dirichlet_verify: {"bessel.besseli_row": 2, "series.sample_closed_form": 2, **ONE_SOLVE},
+    embed_refine: ONE_SOLVE,
+    lattice_hole_verify: {"oracle.spectral_decomposition": 1, **ONE_SOLVE},
 }
 
 

@@ -224,9 +224,12 @@ class TestKernelCommand:
         assert all(f"'{name}'" in err for name in METHODS)
 
     @pytest.mark.parametrize("steps", ["100", "200"])
-    def test_diagonal_kernel_out_of_range_exits_3(self, tmp_path, capsys, steps):
-        # dt·|LH| = 1 or 0.5 on K2: the kernel is symmetric but its diagonal
-        # at t = 100 reads 9586.2 or 4.36, where the exact value is 0.5
+    def test_diagonal_kernel_out_of_range_exits_3(self, monkeypatch, tmp_path, capsys, steps):
+        # dt·|LH| = 1 or 0.5 on K2: the trapezoid kernel is symmetric but its
+        # diagonal at t = 100 reads 9586.2 or 4.36, where the exact value is 0.5
+        from heatpar import methods
+
+        monkeypatch.setattr(methods, "ORDER", 2)
         status = run_main(["kernel", "--graph", case("k2.json"), "--method",
                            "parametrix-diagonal", "--t-max", "100", "--steps", steps,
                            "--out", str(tmp_path / "k.csv")])
@@ -235,14 +238,22 @@ class TestKernelCommand:
         assert "by (row sum - 1)+/n" in err and "refine the time grid" in err
         assert not (tmp_path / "k.csv").exists()
 
-    def test_embed_first_node_bound_exits_3(self, tmp_path, capsys):
+    def test_embed_first_node_bound_exits_3(self, monkeypatch, tmp_path, capsys):
+        # the trapezoid's correction at t = dt; fourth order stays below this
+        # bound here and is refused by the range bound instead
+        from heatpar import methods
+
+        monkeypatch.setattr(methods, "ORDER", 2)
         status = run_main(["kernel", "--graph", case("path3_interval.json"), "--method",
                            "parametrix-embed", "--t-max", "0.5", "--steps", "128",
                            "--out", str(tmp_path / "k.csv")])
         assert status == 3
         assert "O(t) bound" in capsys.readouterr().err
 
-    def test_embed_on_coarse_grid_exits_3(self, tmp_path, capsys):
+    def test_embed_on_coarse_grid_exits_3(self, monkeypatch, tmp_path, capsys):
+        from heatpar import methods
+
+        monkeypatch.setattr(methods, "ORDER", 2)  # the trapezoid's kernel
         status = run_main(
             [
                 "kernel",
@@ -262,9 +273,12 @@ class TestKernelCommand:
         assert "refine the time grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["512", "1024"])
-    def test_asymmetric_embed_kernel_exits_3(self, tmp_path, capsys, steps):
-        # the series is solved on these grids, but half the kernel's
+    def test_asymmetric_embed_kernel_exits_3(self, monkeypatch, tmp_path, capsys, steps):
+        # the series is solved on these grids, but half the trapezoid kernel's
         # asymmetry, a lower bound on its error, is about 88.7 and 0.583
+        from heatpar import methods
+
+        monkeypatch.setattr(methods, "ORDER", 2)
         status = run_main(
             [
                 "kernel",
@@ -371,16 +385,41 @@ class TestKernelCommand:
         assert "overflows the expm scaling" in capsys.readouterr().err
 
     def test_spectral_of_overflowing_degree_exits_2(self, tmp_path, capsys):
-        # the weighted degree of b is 2e308 = inf, which Jacobi refuses
-        # instead of sweeping NaNs
+        # the weighted degree of b is 2e308 = inf, which the graph refuses
+        # when it is built, with no overflow warning
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"vertices": ["a", "b", "c"],
                                    "edges": [["a", "b", 1e308], ["b", "c", 1e308]]}))
-        with pytest.warns(RuntimeWarning, match="overflow"):  # the degree sum
-            status = run_main(["kernel", "--graph", str(doc), "--method", "spectral",
-                               "--t-max", "1", "--steps", "1"])
+        status = run_main(["kernel", "--graph", str(doc), "--method", "spectral",
+                           "--t-max", "1", "--steps", "1"])
         assert status == 2
-        assert "jacobi_eigh requires a finite matrix" in capsys.readouterr().err
+        assert "weighted degree of vertex 1, the sum of its edge weights, overflows" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ambient", [False, True])
+    @pytest.mark.parametrize(
+        "command", [["export"], *(["kernel", "--method", m] for m in METHODS)]
+    )
+    def test_overflowing_degree_is_one_refusal(self, tmp_path, capsys, command, ambient):
+        # every method and export refuse the document as it loads
+        # b is vertex 1 of the graph, or vertex 2 of the ambient after a and c
+        edges = [["a", "b", 1e308], ["b", "c", 1e308]]
+        if ambient:
+            body = {"vertices": ["a", "c"], "ambient": {"vertices": ["b"], "edges": edges}}
+        else:
+            body = {"vertices": ["a", "b", "c"], "edges": edges}
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps(body))
+        steps = ["--t-max", "1", "--steps", "1"] if command[0] == "kernel" else []
+        assert run_main([*command, "--graph", str(doc), *steps]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: the weighted degree of vertex {1 + ambient}, the sum of its edge weights, "
+            "overflows\n"
+        )
 
     @pytest.mark.parametrize("method", ["parametrix-restriction", "dirichlet",
                                         "closed-form-halfline",
@@ -745,6 +784,40 @@ class TestIdentityCommand:
         assert "argument nan outside certified range" in capsys.readouterr().err
 
 
+class TestFourthOrderMethods:
+    def test_dirichlet_verify_grid_is_within_1e_11(self):
+        # the benchmark's Dirichlet run: the trapezoid's error there is 8.19e-8
+        import numpy as np
+
+        from heatpar.cli import compute_kernel
+        from heatpar.documents import load_document
+
+        doc = load_document(case("halfline_w40.json"))
+        _, _, kernel = compute_kernel(doc, "dirichlet", 2.0, 2000, 1e-10)
+        _, _, exact = compute_kernel(doc, "closed-form-halfline-dirichlet", 2.0, 2000, 1e-10)
+        assert np.abs(kernel - exact).max() <= 1e-11
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_methods_run_the_module_order(self, monkeypatch, order):
+        # ORDER is read when a method runs; at 2 the method is the library's
+        # default pipeline
+        import numpy as np
+
+        from heatpar import methods
+        from heatpar.documents import load_document
+        from heatpar.parametrix import diagonal_parametrix, heat_kernel_via_parametrix
+        from heatpar.series import TimeGrid
+
+        monkeypatch.setattr(methods, "ORDER", order)
+        doc = load_document(case("k5_minus_edge.json"))
+        grid = TimeGrid(1.0, 40)
+        direct = heat_kernel_via_parametrix(diagonal_parametrix(doc.graph, grid), 1e-8, order)
+        assert np.array_equal(methods.METHODS["parametrix-diagonal"](doc, grid, 1e-8), direct)
+        if order == 2:
+            default = heat_kernel_via_parametrix(diagonal_parametrix(doc.graph, grid), 1e-8)
+            assert np.array_equal(direct, default)
+
+
 class TestExportCommand:
     def test_canonical_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -883,6 +956,29 @@ class TestEntryPoint:
         out = str(tmp_path / "k2.json")
         assert run_main(["export", "--graph", case("k2.json"), "--out", out]) == 0
         assert [os.environ[var] for var in blas] == ["2", "2", "2"]
+
+    def test_pools_default_to_one_thread(self, monkeypatch, tmp_path):
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in ("HEATPAR_THREADS", *blas):
+            monkeypatch.setenv(var, "0")  # so that the test's end removes it again
+            monkeypatch.delenv(var)
+        out = str(tmp_path / "k2.json")
+        assert run_main(["export", "--graph", case("k2.json"), "--out", out]) == 0
+        assert [os.environ.get(var) for var in blas] == ["1", "1", "1"]
+
+    @pytest.mark.parametrize("preset", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"])
+    def test_preset_pool_variable_is_kept(self, monkeypatch, tmp_path, preset):
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in ("HEATPAR_THREADS", *blas):
+            monkeypatch.setenv(var, "0")
+            monkeypatch.delenv(var)
+        monkeypatch.setenv(preset, "3")
+        out = str(tmp_path / "k2.json")
+        assert run_main(["export", "--graph", case("k2.json"), "--out", out]) == 0
+        assert {var: os.environ.get(var) for var in blas} == {
+            var: "3" if var == preset else None for var in blas
+        }
 
     def test_every_export_resolves(self):
         # a name left in __all__ after its definition is gone fails here

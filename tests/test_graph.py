@@ -54,6 +54,14 @@ class TestWeightedGraph:
         with pytest.raises(ContractViolation):
             WeightedGraph(-np.ones((2, 2)) + np.eye(2))  # negative
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_degree_refused(self):
+        # each weight is finite, their sum at vertex 1 is not; 1.5e308 at one
+        # vertex is still a degree
+        with pytest.raises(ContractViolation, match="degree of vertex 1, .* overflows"):
+            WeightedGraph.path(3, weight=1e308)
+        assert WeightedGraph.from_edges(3, [(0, 1, 1e308), (1, 2, 5e307)]).mu[1] == 1.5e308
+
     def test_immutable(self):
         g = WeightedGraph.path(3)
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from heatpar.parametrix import (
     series_terms,
     subgraph_kernel_closed_form,
 )
-from heatpar.methods import ambient_kernel
+from heatpar.methods import METHODS, ambient_kernel
 from heatpar.series import TimeGrid, convolve_values, sample_closed_form
 
 from conftest import (
@@ -41,6 +41,7 @@ from conftest import (
     linear_scan_terms,
     random_embedding,
     random_graph,
+    stepping_series,
     term_by_term_series,
     traced_peak,
 )
@@ -370,6 +371,105 @@ class TestNeumannSeries:
                 ]
             )
             assert np.abs(term - expected).max() <= 1e-5
+
+
+class TestFourthOrder:
+    """The order-4 rule in the one solver: the series against a dense
+    node-by-node Gregory solve, and fourth-order convergence of whole
+    kernels to exact ones."""
+
+    BUILDS = {
+        # support is every vertex
+        "k3-diagonal": lambda grid: diagonal_parametrix(
+            WeightedGraph(np.array([[0.0, 1.3, 0.4], [1.3, 0.0, 2.0], [0.4, 2.0, 0.0]])), grid
+        ),
+        # support {0, 1} of 5 vertices
+        "k5-minus-edge": lambda grid: restriction_parametrix(
+            k5_minus_edge(), complete_graph_kernel(5), grid
+        ),
+        # support {0, 1} of 7 vertices, with the boundary row zeroed
+        "dirichlet-halfline-w6": lambda grid: dirichlet_parametrix(
+            halfline_window(6), z_window_kernel(np.arange(-1, 7)), grid
+        ),
+        "random-embedding": lambda grid: restriction_parametrix(
+            random_embedding(3), ambient_kernel(random_embedding(3)), grid
+        ),
+    }
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 40])
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_series_matches_stepping_reference(self, name, steps):
+        p = self.BUILDS[name](TimeGrid(0.8, steps))
+        res = neumann_series(p, 1e-8, 4)
+        ref = stepping_series(p, 4)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert res.order == 4
+        assert np.abs(res.F - ref).max() <= 1e-13 * scale
+        assert res.residual <= 1e-13 * scale
+        # F solves F + LH + conv(F, LH) = 0 in the order-4 rule
+        f, lh = full_rows(p, res.F), full_rows(p, p.heat_image)
+        residual = f + lh + convolve_values(f, lh, p.grid.dt, 4)
+        assert np.abs(residual).max() <= 1e-13 * scale
+
+    def test_support_smaller_than_the_graph(self):
+        for name in ("k5-minus-edge", "dirichlet-halfline-w6", "random-embedding"):
+            p = self.BUILDS[name](TimeGrid(0.8, 4))
+            assert len(p.support) < p.n, name
+
+    @staticmethod
+    def halving_ratio(run, coarse: int) -> float:
+        errors = [run(steps) for steps in (coarse, 2 * coarse)]
+        return errors[0] / errors[1]
+
+    def test_dirichlet_halfline_halving_ratio(self):
+        doc = load_document(os.path.join(CASE_DIR, "halfline_w40.json"))
+        e = doc.embedding
+
+        def error(steps):
+            grid = TimeGrid(2.0, steps)
+            p = dirichlet_parametrix(e, ambient_kernel(e), grid)
+            exact = METHODS["closed-form-halfline-dirichlet"](doc, grid, 1e-10)
+            return np.abs(heat_kernel_via_parametrix(p, 1e-10, 4) - exact).max()
+
+        assert self.halving_ratio(error, 100) >= 12.0
+
+    def test_lattice_hole_halving_ratio(self):
+        e = lattice_hole_embedding(seed=1)
+        exact_kernel = spectral_kernel(e.subgraph)
+
+        def error(steps):
+            grid = TimeGrid(1.0, steps)
+            p = restriction_parametrix(e, ambient_kernel(e), grid)
+            exact = sample_closed_form(exact_kernel, grid)
+            return np.abs(heat_kernel_via_parametrix(p, 1e-8, 4) - exact).max()
+
+        assert self.halving_ratio(error, 25) >= 12.0
+
+    def test_dirichlet_boundary_row_is_exactly_zero(self):
+        doc = load_document(os.path.join(CASE_DIR, "halfline_w40.json"))
+        e = doc.embedding
+        p = dirichlet_parametrix(e, ambient_kernel(e), TimeGrid(2.0, 200))
+        kernel = heat_kernel_via_parametrix(p, 1e-10, 4)
+        boundary = [e.subgraph_index(v) for v in boundary_sets(e)[0]]
+        assert boundary and not kernel[:, boundary, :].any()
+
+    @pytest.mark.parametrize("order", [3, 1, 8])
+    def test_other_orders_refused(self, order):
+        p = diagonal_parametrix(WeightedGraph.path(3), TimeGrid(1.0, 8))
+        with pytest.raises(ContractViolation, match="order must be 2 or 4"):
+            neumann_series(p, 1e-8, order)
+        with pytest.raises(ContractViolation, match="order must be 2 or 4"):
+            heat_kernel_via_parametrix(p, 1e-8, order)
+
+    def test_assembly_takes_the_series_order(self):
+        p = diagonal_parametrix(WeightedGraph.path(3), TimeGrid(1.0, 8))
+        assert neumann_series(p, 1e-8).order == 2
+        fourth = neumann_series(p, 1e-8, 4)
+        assembled = assemble_heat_kernel(p, fourth, 4)
+        assert np.array_equal(assembled, heat_kernel_via_parametrix(p, 1e-8, 4))
+        for order in (2, 3):
+            with pytest.raises(ContractViolation, match="solved at order 4"):
+                assemble_heat_kernel(p, fourth, order)
 
 
 class TestAmbientSpectralKernel:

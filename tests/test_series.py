@@ -33,6 +33,8 @@ from heatpar.series import (
 from conftest import (
     besseli_oracle,
     convolution_bound,
+    dense_convolve,
+    exact_start_weights,
     lattice_hole_document,
     naive_convolve,
     reference_series_product,
@@ -164,10 +166,23 @@ class TestBlockedProduct:
         assert row_blocks(ma, mb, p, r) == blocks
         a = rng.normal(size=(ma, p, q))
         b = rng.normal(size=(mb, q, r))
-        out = series._series_product(a, b, m, halved)
-        ref = reference_series_product(a, b, m, halved)
+        head = (0.5,) if halved else ()
+        out = series._series_product(a, b, m, head)
+        ref = reference_series_product(a, b, m, head)
         assert out.shape == ref.shape == (m, p, r)
         # FFT roundoff scales with the largest coefficient, not each entry's own
+        assert np.abs(out - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape, blocks", SHAPES)
+    def test_gregory_head_matches_one_shot_reference(self, rng, shape, blocks):
+        # the first three coefficients weighted through phase-shifted
+        # spectra, against weighting them before the transform
+        ma, mb, m, p, q, r = shape
+        a = rng.normal(size=(ma, p, q))
+        b = rng.normal(size=(mb, q, r))
+        head = (3 / 8, 7 / 6, 23 / 24)
+        out = series._series_product(a, b, m, head)
+        ref = reference_series_product(a, b, m, head)
         assert np.abs(out - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
     @pytest.mark.parametrize("entries", [1, 40, 100, 1 << 18])
@@ -229,6 +244,69 @@ class TestQuadratureOrder:
             stride = 512 // steps
             errs.append(np.abs(coarse - fine[::stride]).max())
         assert errs[0] / errs[1] >= 3.5
+
+
+class TestFourthOrder:
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_start_weights_are_exact(self, d):
+        w = series.start_weights(d)
+        assert w.shape == (d, d + 1, d + 1)
+        assert np.abs(w - exact_start_weights(d)).max() <= 1e-15
+        # the interpolants of two constants integrate to j
+        assert np.allclose(w.sum(axis=(1, 2)), np.arange(1, d + 1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 40])
+    def test_matches_dense_reference(self, rng, steps):
+        dt = 0.7 / steps
+        for p, q, r in ((3, 3, 3), (5, 2, 4), (1, 4, 1)):
+            a = rng.normal(size=(steps + 1, p, q))
+            b = rng.normal(size=(steps + 1, q, r))
+            out = convolve_values(a, b, dt, 4)
+            ref = dense_convolve(a, b, dt, 4)
+            assert out.shape == (steps + 1, p, r)
+            assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+            assert np.all(out[0] == 0.0)
+            # the reference's order-2 rule is the trapezoid
+            trapezoid = dense_convolve(a, b, dt, 2)
+            assert np.abs(trapezoid - naive_convolve(a, b, dt)).max() <= 1e-14 * max(
+                1.0, np.abs(trapezoid).max()
+            )
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 64])
+    def test_exact_for_cubic_integrands(self, steps):
+        # t * t² = t⁴/12; Gregory's rule and the degree-min(4, M) start
+        # integrate cubics exactly once the start interpolates t and t²
+        grid = TimeGrid(1.0, steps)
+        out = convolve_values(monomial_series(grid, 1), monomial_series(grid, 2), grid.dt, 4)
+        if steps >= 2:
+            assert np.abs(out[:, 0, 0] - grid.nodes**4 / 12).max() <= 1e-15
+
+    def test_fourth_order_refinement_ratio(self):
+        # TestQuadratureOrder's integrands: the error falls ~16x per halving
+        def run(steps):
+            grid = TimeGrid(1.0, steps)
+            f1 = np.cos(3.0 * grid.nodes).reshape(-1, 1, 1)
+            f2 = np.exp(-2.0 * grid.nodes).reshape(-1, 1, 1)
+            return convolve_values(f1, f2, grid.dt, 4)[:, 0, 0], grid.nodes
+
+        def exact(t):  # ∫₀ᵗ cos(3(t − s)) e^{−2s} ds
+            return (2.0 * np.cos(3.0 * t) + 3.0 * np.sin(3.0 * t) - 2.0 * np.exp(-2.0 * t)) / 13.0
+
+        errs = [np.abs(v - exact(t)).max() for v, t in (run(32), run(64))]
+        assert errs[0] <= 2e-6  # the trapezoid's is 3.3e-4
+        assert errs[0] / errs[1] >= 12.0
+
+    def test_default_is_the_trapezoid(self, rng):
+        a = rng.normal(size=(9, 2, 2))
+        b = rng.normal(size=(9, 2, 2))
+        assert np.array_equal(convolve_values(a, b, 0.1), convolve_values(a, b, 0.1, 2))
+        assert not np.array_equal(convolve_values(a, b, 0.1), convolve_values(a, b, 0.1, 4))
+
+    @pytest.mark.parametrize("order", [3, 0, 1, 6, "4"])
+    def test_other_orders_refused(self, order):
+        a = np.ones((5, 1, 1))
+        with pytest.raises(ContractViolation, match="order must be 2 or 4"):
+            convolve_values(a, a, 0.1, order)
 
 
 class TestBounds:

@@ -130,9 +130,10 @@ def _table_chunks(times, names, values, fmt: str, meta: dict):
     """The text of a kernel table, one block of time nodes at a time, so the
     text is never held whole.
 
-    Each time node is formatted once and interleaved with its values by a
-    per-node template of one row per vertex pair, names quoted for CSV or
-    JSON and escaped for %.  The JSON text is ``json.dumps(doc,
+    Each time node is formatted once, and a block's stamps and values are
+    interleaved by one ``%`` of a per-node template, one row per vertex
+    pair with the names quoted for CSV or JSON and escaped for %, repeated
+    once per node of the block.  The JSON text is ``json.dumps(doc,
     sort_keys=True, indent=1)`` plus a newline: ``rows`` sorts last, so the
     header is the document without it, and numbers take float.__repr__ or
     json's non-finite spelling.
@@ -152,18 +153,18 @@ def _table_chunks(times, names, values, fmt: str, meta: dict):
     esc = [quote(nm).replace("%", "%%") for nm in names]
     template = sep.join(row.format(xn, yn) for xn in esc for yn in esc)
     npairs = len(esc) ** 2
-    args = [None] * (2 * npairs)
     for s in time_blocks(len(times), _TEXT_WEIGHT * npairs):
-        block = values[s].reshape(-1, npairs)
-        rows = block.tolist()
+        block = values[s].reshape(-1)
+        vals = block.tolist()
         if sep and not np.isfinite(block).all():
-            rows = [[v if math.isfinite(v) else _json_number(v) for v in r] for r in rows]
-        texts = []
-        for t, r in zip(times[s], rows):
-            args[0::2] = [stamp(t)] * npairs
-            args[1::2] = r
-            texts.append(template % tuple(args))
-        yield (sep if s.start else "") + sep.join(texts)
+            vals = [v if math.isfinite(v) else _json_number(v) for v in vals]
+        stamps = [stamp(t) for t in times[s]]
+        args = [None] * (2 * len(vals))
+        for k in range(npairs):  # the stamp before pair k of every node
+            args[2 * k :: 2 * npairs] = stamps
+        args[1::2] = vals
+        text = sep.join([template] * len(stamps)) % tuple(args)
+        yield (sep if s.start else "") + text
     if sep:
         yield "\n ]\n}\n"
 

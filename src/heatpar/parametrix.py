@@ -7,12 +7,13 @@ image LH = (Δ + ∂_t)H, the corrected kernel is
     H_G = H + H * F,      F = Σ_{ℓ>=1} (−1)^ℓ (LH)^{*ℓ},
 
 where * is the graph convolution.  The whole discrete series is solved
-directly as a Volterra equation by a power-series inverse; the requested
-tolerance only sizes the factorial term bound reported with it.  The
-series, its residual and the assembly take the convolution rule of one
-``order``: 2, the trapezoid and the default, or 4, Gregory's rule (see
-``series``), which the CLI's parametrix methods run.  Heat
-images are always assembled from closed-form values, never by numerically
+directly as a Volterra equation by one power-series quotient: a Newton
+inverse to half the length by middle products, then one Karp–Markstein
+step; the requested tolerance only sizes the factorial term bound reported
+with it.  The series, its residual and the assembly take the convolution
+rule of one ``order``: 2, the trapezoid and the default, or 4, Gregory's
+rule (see ``series``), which the CLI's parametrix methods run.  Heat images
+are always assembled from closed-form values, never by numerically
 differentiating a sampled kernel.
 """
 
@@ -35,10 +36,10 @@ from .oracle import jacobi_eigh
 from .series import (
     ClosedFormKernel,
     TimeGrid,
-    _series_product,
     convolution_rule,
     convolve_values,
     fold_bound,
+    next_fast_len,
     sample_closed_form,
 )
 
@@ -183,26 +184,63 @@ _COARSE_GRID = (
 )
 
 
-def _series_inverse(p: np.ndarray) -> np.ndarray:
-    """Inverse of the matrix power series ``p`` modulo z^len(p).
+def _cyclic(fa: np.ndarray, fb: np.ndarray, nfft: int, lo: int, hi: int) -> np.ndarray:
+    """Coefficients ``lo``..``hi`` − 1 of the cyclic product of length
+    ``nfft`` of two matrix series, from their spectra."""
+    return np.fft.irfft(fa @ fb, n=nfft, axis=0)[lo:hi]
 
-    Newton doubling G ← G(2I − PG) (Brent & Kung, JACM 25, 1978): each step
-    doubles the number of correct coefficients at the cost of two FFT
-    products, so the whole inverse costs a few products of full length.
+
+def _spectrum(x: np.ndarray, nfft: int) -> np.ndarray:
+    return np.fft.rfft(x, n=nfft, axis=0)
+
+
+def _series_inverse(p: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of the matrix power series ``p`` modulo z^m.
+
+    Newton doubling (Brent & Kung, JACM 25, 1978) from h to k = min(2h, m)
+    correct coefficients G: PG − I vanishes below z^h, so only its middle
+    coefficients E = (P[:k]·G)[h:k] are computed, and G gains
+    −(G·E)[:k − h] as its coefficients h..k − 1 (Hanrot, Quercia &
+    Zimmermann, AAECC 14, 2004).  Both are cyclic products of length
+    ``next_fast_len(k)`` sharing one transform of G: the middle product's
+    wrap-around falls below z^h and G·E is shorter than the cycle.  The
+    first h coefficients are never rewritten, so converged ones keep no
+    roundoff of later, larger ones.
     """
-    m1 = p.shape[0]
     try:
-        g = np.linalg.inv(p[:1])
+        g0 = np.linalg.inv(p[0])
     except np.linalg.LinAlgError:
         raise NonConvergenceError(_COARSE_GRID) from None
-    while g.shape[0] < m1:
-        m = min(2 * g.shape[0], m1)
-        err = _series_product(p[:m], g, m)  # PG − I vanishes below z^len(g)
-        err[0] -= np.eye(p.shape[1])
-        step = -_series_product(g, err, m)
-        step[: g.shape[0]] += g
-        g = step
+    g = np.empty((m,) + g0.shape)
+    g[0] = g0
+    h = 1
+    while h < m:
+        k = min(2 * h, m)
+        nfft = next_fast_len(k)
+        fg = _spectrum(g[:h], nfft)
+        err = _cyclic(_spectrum(p[:k], nfft), fg, nfft, h, k)
+        g[h:k] = -_cyclic(fg, _spectrum(err, nfft), nfft, 0, k - h)
+        h = k
     return g
+
+
+def _series_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Φ = N·D⁻¹ modulo z^m, m = len(``num``) = len(``den``), a right
+    division, since matrix series do not commute.
+
+    D is inverted only to h = ⌈m/2⌉ coefficients G; one Karp–Markstein
+    step (Karp & Markstein, TOMS 23, 1997) gives the rest:
+    Φ_lo = (N·G)[:h], R = (N − Φ_lo·D)[h:m] and Φ_hi = (R·G)[:m − h], three
+    cyclic products of length ``next_fast_len(m)`` with no wrap-around
+    into the kept coefficients.
+    """
+    m = num.shape[0]
+    h = -(-m // 2)
+    nfft = next_fast_len(m)
+    fg = _spectrum(_series_inverse(den, h), nfft)
+    lo = _cyclic(_spectrum(num[:h], nfft), fg, nfft, 0, h)
+    rest = num[h:] - _cyclic(_spectrum(lo, nfft), _spectrum(den, nfft), nfft, h, m)
+    return np.concatenate([lo, _cyclic(_spectrum(rest, nfft), fg, nfft, 0, m - h)])
 
 
 _MAX_TERMS = 10_000_000
@@ -270,12 +308,17 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
         Φ·(I + dt·Λ) = −Λ + E,
 
     with E the polynomial of degree ≤ d that makes the first d + 1
-    coefficients those of the start values.  One power-series inverse and
-    one product give Φ, which is F from node d + 1 on.  For the trapezoid,
-    γ = (½) and this is F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹.  One more
-    convolution F_S = −L_S − conv(F_SS, L_S) gives the support rows, which
-    are all of F that is returned.  ``residual`` is the sup of
-    F + LH + conv(F, LH) on the block.
+    coefficients those of the start values.  Φ, which is F from node d + 1
+    on, is that right-hand side divided on the right by I + dt·Λ
+    (:func:`_series_quotient`): the inverse of I + dt·Λ to ⌈(M+1)/2⌉
+    coefficients (:func:`_series_inverse`), then one Karp–Markstein step
+    to M + 1.  For the trapezoid, γ = (½) and this is
+    F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹.  When S is every vertex the block
+    is all of F; otherwise one more convolution
+    F_S = −L_S − conv(F_SS, L_S) gives the support rows' columns off S,
+    and the block keeps its solved values.  The support rows are all of F
+    that is returned.  ``residual`` is the sup of F + LH + conv(F, LH) on the
+    block, from the F returned.
 
     ``tol`` does not change F; it only sizes the factorial bound.
     ``terms_used`` is the first ℓ whose next term's bound, evaluated at
@@ -321,14 +364,17 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
                 num[j] = phi[j] + dt * prod
             den = dt * lam
             den[0] += np.eye(len(supp))
-            f_ss = _series_product(num, _series_inverse(den), m1)
+            f_ss = _series_quotient(num, den)
             f_ss[: len(f_head)] = f_head
-            f_s = -lh_s - convolve_values(f_ss, lh_s, dt, order)
+            if len(supp) == p.n:
+                f_s = f_ss
+            else:
+                f_s = -lh_s - convolve_values(f_ss, lh_s, dt, order)
+                f_s[:, :, supp] = f_ss
             peak = float(np.abs(f_s).max())
             if not math.isfinite(peak) or peak > 1e150:
                 raise NonConvergenceError(_COARSE_GRID)
-            f_blk = f_s[:, :, supp]
-            residual = float(np.abs(f_blk + l_ss + convolve_values(f_blk, l_ss, dt, order)).max())
+            residual = float(np.abs(f_ss + l_ss + convolve_values(f_ss, l_ss, dt, order)).max())
     return NeumannSeriesResult(
         F=f_s,
         grid=p.grid,

@@ -265,6 +265,31 @@ def dense_convolve(a: np.ndarray, b: np.ndarray, dt: float, order: int) -> np.nd
     return out
 
 
+def dense_series_product(a: np.ndarray, b: np.ndarray, m: int):
+    """The first ``m`` coefficients of the matrix power-series product a·b
+    by direct sums, O(m²), and the same sums of |a_r|·|b_{j−r}|, the size
+    against which its roundoff is measured."""
+    out = np.zeros((m, a.shape[1], b.shape[2]))
+    size = np.zeros_like(out)
+    for j in range(m):
+        for r in range(max(0, j - len(b) + 1), min(j + 1, len(a))):
+            out[j] += a[r] @ b[j - r]
+            size[j] += np.abs(a[r]) @ np.abs(b[j - r])
+    return out, size
+
+
+def back_substitution_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Reference for ``parametrix._series_quotient``: Φ with Φ·D = N modulo
+    z^len(N), one coefficient at a time,
+    Φ_j = (N_j − Σ_{r=1..j} Φ_{j−r} D_r)·D_0⁻¹."""
+    phi = np.zeros((num.shape[0], num.shape[1], den.shape[2]))
+    inv0 = np.linalg.inv(den[0])
+    for j in range(num.shape[0]):
+        known = num[j] - sum((phi[j - r] @ den[r] for r in range(1, j + 1)), np.zeros_like(num[j]))
+        phi[j] = known @ inv0
+    return phi
+
+
 def stepping_series(p, order: int) -> np.ndarray:
     """Reference for ``neumann_series(p, tol, order)``: F + LH + conv(F, LH)
     = 0 with the :func:`dense_convolve` rule, solved on the support block

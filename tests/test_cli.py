@@ -238,9 +238,24 @@ class TestKernelCommand:
         assert "by (row sum - 1)+/n" in err and "refine the time grid" in err
         assert not (tmp_path / "k.csv").exists()
 
+    def test_first_node_bound_exits_3(self, monkeypatch, tmp_path, capsys):
+        # K2 with weight 7.992 at dt = 1/4: the trapezoid's own series has
+        # |F_1| = 1.08e3, and the correction at t = dt is 136 against its
+        # O(t) bound of 17.6
+        from heatpar import methods
+
+        monkeypatch.setattr(methods, "ORDER", 2)
+        doc = tmp_path / "k2_heavy.json"
+        doc.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", 7.992]]}))
+        status = run_main(["kernel", "--graph", str(doc), "--method", "parametrix-diagonal",
+                           "--t-max", "1", "--steps", "4", "--out", str(tmp_path / "k.csv")])
+        assert status == 3
+        assert "O(t) bound" in capsys.readouterr().err
+        assert not (tmp_path / "k.csv").exists()
+
     def test_embed_first_node_bound_exits_3(self, monkeypatch, tmp_path, capsys):
-        # the trapezoid's correction at t = dt; fourth order stays below this
-        # bound here and is refused by the range bound instead
+        # the trapezoid's correction at t = dt stays below its O(t) bound
+        # here; the kernel, 4.84e11 off [0, 1], is refused by the range bound
         from heatpar import methods
 
         monkeypatch.setattr(methods, "ORDER", 2)
@@ -248,7 +263,7 @@ class TestKernelCommand:
                            "parametrix-embed", "--t-max", "0.5", "--steps", "128",
                            "--out", str(tmp_path / "k.csv")])
         assert status == 3
-        assert "O(t) bound" in capsys.readouterr().err
+        assert "by the distance of an entry from [0, 1]" in capsys.readouterr().err
 
     def test_embed_on_coarse_grid_exits_3(self, monkeypatch, tmp_path, capsys):
         from heatpar import methods

@@ -20,6 +20,8 @@ from heatpar.graph import SubgraphEmbedding, WeightedGraph, boundary_sets
 from heatpar.oracle import compare_kernels, expm_heat_kernel, spectral_kernel
 from heatpar.parametrix import (
     Parametrix,
+    _series_inverse,
+    _series_quotient,
     ambient_spectral_kernel,
     assemble_heat_kernel,
     b_matrix,
@@ -36,6 +38,8 @@ from heatpar.methods import METHODS, ambient_kernel
 from heatpar.series import TimeGrid, convolve_values, sample_closed_form
 
 from conftest import (
+    back_substitution_quotient,
+    dense_series_product,
     full_rows,
     lattice_hole_document,
     linear_scan_terms,
@@ -297,11 +301,31 @@ class TestNeumannSeries:
             neumann_series(path3_interval_parametrix(155), 1e-8)
 
     def test_first_node_bound_refused(self):
-        # dt·|LH| = 50/64 on K3 with weight 50: the series is solved, but
-        # the correction at t = dt is far above its O(dt) bound
-        p = diagonal_parametrix(WeightedGraph.complete(3, 50.0), TimeGrid(1.0, 64))
+        # dt·|LH| ≈ 2 on K2 with weight 7.992: the discrete series itself has
+        # |F_1| = 1.08e3, and the correction at t = dt is 136 against its
+        # O(dt) bound of 17.6
+        p = diagonal_parametrix(WeightedGraph.complete(2, 7.992), TimeGrid(1.0, 4))
+        assert np.abs(stepping_series(p, 2)[1]).max() > 1e3
         with pytest.raises(NumericalBudgetError, match="violating its O\\(t\\) bound"):
             heat_kernel_via_parametrix(p, 1e-8)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: diagonal_parametrix(WeightedGraph.complete(3, 50.0), TimeGrid(1.0, 64)),
+            lambda: path3_interval_parametrix(128),
+        ],
+        ids=["k3-weight-50", "path3-interval-128"],
+    )
+    def test_growing_series_keeps_its_early_nodes(self, build):
+        # F grows along the grid (to 5e13 on the path); each node must still
+        # match the node-by-node solve relative to its own size, which fails
+        # when a converged coefficient takes roundoff from later, larger ones
+        p = build()
+        res = neumann_series(p, 1e-8)
+        ref = stepping_series(p, 2)
+        err = np.abs(res.F - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-8 * np.abs(ref).max(axis=(1, 2)))
 
     def test_zero_heat_image(self):
         g = WeightedGraph(np.zeros((3, 3)))
@@ -371,6 +395,72 @@ class TestNeumannSeries:
                 ]
             )
             assert np.abs(term - expected).max() <= 1e-5
+
+
+class TestSeriesSolver:
+    """The power-series inverse and quotient that solve the correction
+    series, on random non-commuting matrix series."""
+
+    @staticmethod
+    def random_series(s: int, m: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        p = rng.normal(size=(m, s, s)) / (s * np.sqrt(np.arange(1, m + 1)))[:, None, None]
+        p[0] += 2.0 * np.eye(s)
+        return p
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 257])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_inverse(self, s, m):
+        p = self.random_series(s, m, seed=10 * s + m)
+        g = _series_inverse(p, m)
+        assert g.shape == (m, s, s)
+        prod, size = dense_series_product(p, g, m)
+        prod[0] -= np.eye(s)
+        assert np.all(np.abs(prod) <= 1e-13 * size.max())
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 257])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_quotient_matches_back_substitution(self, s, m):
+        den = self.random_series(s, m, seed=10 * s + m)
+        num = np.random.default_rng(m).normal(size=(m, s, s))
+        phi = _series_quotient(num, den)
+        ref = back_substitution_quotient(num, den)
+        _, size = dense_series_product(np.abs(ref), np.abs(den), m)
+        assert np.abs(phi - ref).max() <= 1e-13 * max(1.0, size.max())
+
+    @pytest.mark.parametrize("m", [40, 257])
+    def test_converged_coefficients_are_never_rewritten(self, m):
+        p = self.random_series(3, m, seed=m)
+        g = _series_inverse(p, m)
+        h = 1
+        while h < m:
+            assert np.array_equal(g[:h], _series_inverse(p, h))
+            h *= 2
+
+    def test_singular_constant_term_refused(self):
+        p = self.random_series(3, 8, seed=1)
+        p[0] = 0.0
+        with pytest.raises(NonConvergenceError, match="refine the time grid"):
+            _series_inverse(p, 8)
+
+    def test_fft_work_of_one_solve(self, monkeypatch):
+        # the transformed points, length times number of series, of one
+        # order-4 solve on the 16384-step interval parametrix; the Newton
+        # inverse to full length and a separate full-length product took
+        # 7,080,615
+        points = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def counted(x, n=None, axis=-1, _transform=transform, **kw):
+                x = np.asarray(x)
+                points.append((n or x.shape[axis]) * (x.size // x.shape[axis]))
+                return _transform(x, n=n, axis=axis, **kw)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        p = path3_interval_parametrix(16384)
+        neumann_series(p, 1e-8, 4)
+        assert 0 < sum(points) <= 3_540_000
 
 
 class TestFourthOrder:

@@ -167,7 +167,7 @@ def parse_document(text: str) -> GraphDocument:
 
     interval = data.get("interval", {})
     _check(isinstance(interval, dict), "'interval' must be an object")
-    unknown = set(interval) - {"length", "modes", "quad_points", "delta_fraction"}
+    unknown = set(interval) - {"length", "modes", "delta_fraction"}
     _check(not unknown, f"unknown interval keys: {sorted(unknown)}")
     for key, x in interval.items():
         if key in ("length", "delta_fraction"):

@@ -9,9 +9,10 @@ kernel into a graph parametrix:
 
     H0(v1, v2; t) = (μ_{v1} μ_{v2})^{−1/2} ∫∫ K(x, y; t) η_{v1}(x) η_{v2}(y) dy dx.
 
-The sine series makes the double integral separable, so one 1-D quadrature
-per (mode, vertex) suffices, and the time derivative is available termwise
-with no numerical differentiation.
+The sine series makes the double integral separable into overlaps of each
+mode with each bump, which are exact because the bump is piecewise quintic,
+and the time derivative is available termwise with no numerical
+differentiation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ResolutionError
+from .errors import ContractViolation
 from .graph import WeightedGraph
 from .parametrix import Parametrix
 from .series import TimeGrid, time_blocks
@@ -33,20 +34,20 @@ class IntervalDomain:
 
     length: float
     n_modes: int
-    quad_points: int = 1600
 
     def __post_init__(self):
         if self.length <= 0:
             raise ContractViolation("interval length must be positive")
         if self.n_modes < 1:
             raise ContractViolation("need at least one series mode")
-        if self.quad_points < 16:
-            raise ContractViolation("quadrature resolution too small")
 
     def rates(self) -> np.ndarray:
         """Decay rates (nπ/L)² for modes n = 1..n_modes."""
         n = np.arange(1, self.n_modes + 1)
         return (n * math.pi / self.length) ** 2
+
+
+MAX_MODES = 200_000  # the most sine-series modes searched for or accepted
 
 
 def modes_for_time(length: float, t_min: float, tol: float = 1e-10) -> int:
@@ -55,7 +56,7 @@ def modes_for_time(length: float, t_min: float, tol: float = 1e-10) -> int:
     if t_min <= 0 or length <= 0:
         raise ContractViolation("length and t_min must be positive")
     n = 8
-    while n < 200_000:
+    while n < MAX_MODES:
         if series_tail_bound(length, t_min, n) < tol:
             # back off to the smallest sufficient count
             lo = n // 2
@@ -93,22 +94,17 @@ def build_voronoi(positions, length: float, delta_fraction: float) -> list[Voron
     with a uniform collar width delta = delta_fraction × (smallest cell
     half-width)."""
     pos = [float(p) for p in positions]
-    if len(set(pos)) != len(pos) or any(
-        pos[i] >= pos[i + 1] for i in range(len(pos) - 1)
-    ):
+    if any(p >= q for p, q in zip(pos, pos[1:])):
         raise ContractViolation("positions must be strictly increasing")
     if not pos or pos[0] <= 0.0 or pos[-1] >= length:
         raise ContractViolation("positions must lie strictly inside (0, length)")
     if not (0.0 < delta_fraction < 0.5):
         raise ContractViolation("delta_fraction must lie in (0, 1/2)")
-    bounds = [0.0]
-    for i in range(len(pos) - 1):
-        bounds.append(0.5 * (pos[i] + pos[i + 1]))
-    bounds.append(length)
+    bounds = [0.0, *(0.5 * (p + q) for p, q in zip(pos, pos[1:])), length]
     delta = delta_fraction * min(b - a for a, b in zip(bounds, bounds[1:])) / 2.0
     return [
-        VoronoiCell1D(position=pos[i], a=bounds[i], b=bounds[i + 1], delta=delta)
-        for i in range(len(pos))
+        VoronoiCell1D(position=p, a=a, b=b, delta=delta)
+        for p, a, b in zip(pos, bounds, bounds[1:])
     ]
 
 
@@ -138,69 +134,62 @@ class BumpFamily:
         return self.amplitudes[v] * smoothstep(np.clip(2.0 * d / cell.delta - 1.0, 0.0, 1.0))
 
 
-def _cell_quadrature(cell: VoronoiCell1D, quad_points: int):
-    """Composite Simpson nodes/weights over five pieces of the bump's
-    support: each ramp split at its midpoint, and the plateau, so the
-    junctions of the bump never sit inside a panel."""
-    a, b, d = cell.a, cell.b, cell.delta
-    cuts = [a + d / 2, a + 3 * d / 4, a + d, b - d, b - 3 * d / 4, b - d / 2]
-    floor = max(4, 2 * (quad_points // 32))  # short band pieces carry the curvature
-    xs_all, ws_all = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        panels = max(floor, 2 * math.ceil(quad_points * (hi - lo) / (2.0 * cell.measure)))
-        xs = np.linspace(lo, hi, panels + 1)
-        ws = np.ones(panels + 1)
-        ws[1:-1:2] = 4.0
-        ws[2:-1:2] = 2.0
-        ws *= (hi - lo) / panels / 3.0
-        xs_all.append(xs)
-        ws_all.append(ws)
-    return np.concatenate(xs_all), np.concatenate(ws_all)
-
-
-def build_bumps(cells: list[VoronoiCell1D], quad_points: int = 1600) -> BumpFamily:
+def build_bumps(cells: list[VoronoiCell1D]) -> BumpFamily:
     """Calibrate each cell's amplitude so that ∫η² = cell measure.
 
-    The bump is A times the profile φ of plateau height one, so the
-    amplitude is A = √(|cell| / ∫φ²), with ∫φ² by the cell quadrature.
-    The plateau value is A > 1, because φ <= 1 vanishes near the cell
-    boundary.
+    The profile φ = η/A is 1 on a plateau of length μ − 2δ and smoothstep on
+    two ramps of width δ/2, so ∫φ² = μ − 2δ + (181/462)·δ < μ and
+    A = √(μ/∫φ²) > 1.
     """
-    amps = []
-    for cell in cells:
-        xs, ws = _cell_quadrature(cell, quad_points)
-        phi = BumpFamily(cells=(cell,), amplitudes=(1.0,)).evaluate(0, xs)
-        amps.append(math.sqrt(cell.measure / float(ws @ (phi * phi))))
+    amps = [math.sqrt(c.measure / (c.measure - (2.0 - 181.0 / 462.0) * c.delta)) for c in cells]
     return BumpFamily(cells=tuple(cells), amplitudes=tuple(amps))
 
 
-_QUAD_BUDGET = 1e-6  # largest accepted quadrature self-estimate of the overlaps
-_MODE_BLOCK = 32  # modes per angle-addition block in the overlaps
+# Taylor coefficients of M(κ): ∫₀¹ smoothstep(u)·uᵏ du / k!, the integral
+# 10/(k+4) − 15/(k+5) + 6/(k+6) taken as (k² + 14k + 60)/((k+4)(k+5)(k+6))
+# so that it does not cancel; for κ < 4 the terms left out are below 1e-19
+_RAMP_TAYLOR = [(k * k + 14 * k + 60) / ((k + 4) * (k + 5) * (k + 6) * math.factorial(k))
+                for k in range(36)]
 # e^{−x} is exactly 0.0 in double precision for x >= _EXP_UNDERFLOW
 _EXP_UNDERFLOW = 745.2
 
 
-def _mode_overlaps(d: IntervalDomain, bumps: BumpFamily, quad_points: int) -> np.ndarray:
-    """s[m, v] = ∫ sin((m+1)πx/L) η_v(x) dx over each cell of ``bumps``.
+def _ramp_moment(kappa: np.ndarray) -> np.ndarray:
+    """M(κ) = ∫₀¹ smoothstep(u)·e^{iκu} du for κ >= 0.
 
-    Mode q + r, with q a multiple of ``_MODE_BLOCK`` and 1 <= r <= _MODE_BLOCK,
-    is expanded as sin qθ·cos rθ + cos qθ·sin rθ (θ = πx/L), so each node
-    takes a few dozen sines and cosines and the sums are two small matrix
-    products instead of one sine per (mode, node).
+    From κ = 4 on, five integrations by parts are exact: at u = 0, 1 the
+    quintic has S = 0, 1; S' = S'' = 0; S''' = 60, 60; S'''' = −360, 360;
+    S⁽⁵⁾ = 720.  Below κ = 4 those terms cancel; the Taylor series does not.
     """
-    blocks = -(-d.n_modes // _MODE_BLOCK)
-    q = np.arange(blocks)[:, None] * _MODE_BLOCK
-    r = np.arange(1, _MODE_BLOCK + 1)[:, None]
+    z = 1j * kappa
+    small = kappa < 4.0
+    out = np.empty(z.shape, dtype=complex)
+    out[small] = np.polynomial.polynomial.polyval(z[small], _RAMP_TAYLOR)
+    zl = z[~small]
+    e = np.exp(zl)
+    out[~small] = (
+        e / zl - 60.0 * (e - 1.0) / zl**4 + 360.0 * (e + 1.0) / zl**5 - 720.0 * (e - 1.0) / zl**6
+    )
+    return out
+
+
+def _mode_overlaps(d: IntervalDomain, bumps: BumpFamily) -> np.ndarray:
+    """s[m, v] = ∫ sin(ωx) η_v(x) dx, ω = (m+1)π/L, in closed form.
+
+    The plateau [a+δ, b−δ] gives 2A·sin(ω(a+b)/2)·sin(ω((b−a)/2 − δ))/ω, a
+    product with no cancellation at small ω.  With h = δ/2 and κ = ωh, the
+    ramp on [a+h, a+δ] gives A·h·Im(e^{iω(a+h)}·M(κ)), and its mirror image
+    on [b−δ, b−h] gives A·h·Im(e^{iω(b−h)}·conj M(κ)).
+    """
+    omega = np.arange(1, d.n_modes + 1) * (math.pi / d.length)
     out = np.empty((d.n_modes, len(bumps.cells)))
-    for v, cell in enumerate(bumps.cells):
-        xs, ws = _cell_quadrature(cell, quad_points)
-        weighted = ws * bumps.evaluate(v, xs)
-        theta = xs * (math.pi / d.length)
-        qt, rt = q * theta, r * theta
-        s = (np.sin(qt) * weighted) @ np.cos(rt).T + (np.cos(qt) * weighted) @ np.sin(rt).T
-        out[:, v] = s.reshape(-1)[: d.n_modes]
+    for v, (cell, amp) in enumerate(zip(bumps.cells, bumps.amplitudes)):
+        a, b, delta = cell.a, cell.b, cell.delta
+        h = delta / 2.0
+        plateau = np.sin(omega * (a + b) / 2.0) * np.sin(omega * ((b - a) / 2.0 - delta))
+        m = _ramp_moment(omega * h)
+        ramps = (np.exp(1j * omega * (a + h)) * m + np.exp(1j * omega * (b - h)) * m.conj()).imag
+        out[:, v] = amp * (2.0 * plateau / omega + h * ramps)
     return out
 
 
@@ -209,27 +198,13 @@ def averaged_parametrix(
 ) -> Parametrix:
     """Average the interval kernel against the bump family to obtain an
     order-zero parametrix for the embedded graph, with the symmetric
-    (μ_{v1} μ_{v2})^{−1/2} scaling.  A Richardson comparison between
-    the requested quadrature resolution and its refinement guards the mode
-    overlaps; if the estimated error exceeds 1e-6 the resolution is
-    rejected.
+    (μ_{v1} μ_{v2})^{−1/2} scaling.
     """
     if len(bumps.cells) != graph.n:
         raise ContractViolation("graph size does not match the cell count")
     mu = np.array([c.measure for c in bumps.cells])
-    s = _mode_overlaps(d, bumps, d.quad_points)
-    s_fine = _mode_overlaps(d, bumps, 2 * d.quad_points)
+    s = _mode_overlaps(d, bumps)
     rates = d.rates()
-    weights0 = (2.0 / d.length) * np.exp(-rates * grid.dt)
-    probe = np.abs(
-        (s * weights0[:, None]).T @ s - (s_fine * weights0[:, None]).T @ s_fine
-    ).max() / float(np.sqrt(np.outer(mu, mu)).min())
-    if probe > _QUAD_BUDGET:
-        raise ResolutionError(
-            f"quadrature self-estimate {probe:.2e} exceeds budget {_QUAD_BUDGET:.2e}; "
-            "increase quad_points"
-        )
-    s = s_fine  # keep the refined overlaps
     norm = 1.0 / np.sqrt(np.outer(mu, mu))
 
     # mode sums collapse to one matrix product per block of times.  The

@@ -26,10 +26,6 @@ class SamplingError(NumericalBudgetError):
     """A closed-form kernel returned a non-finite value."""
 
 
-class ResolutionError(NumericalBudgetError):
-    """Quadrature self-estimate exceeded the requested budget."""
-
-
 class NonConvergenceError(NumericalBudgetError):
     """A correction series has no bounded solution on the time grid, or its
     term bound never meets the tolerance."""

@@ -77,8 +77,8 @@ def _diagonal(doc, grid, tol):
 def _interval(doc, grid, tol):
     import math
 
-    from .embed1d import IntervalDomain, averaged_parametrix, build_bumps, build_voronoi
-    from .embed1d import modes_for_time
+    from .embed1d import MAX_MODES, IntervalDomain, averaged_parametrix, build_bumps
+    from .embed1d import build_voronoi, modes_for_time
     from .parametrix import heat_kernel_via_parametrix
 
     if not doc.positions:
@@ -91,10 +91,11 @@ def _interval(doc, grid, tol):
     # grids do not demand more modes
     probe = 1e-4 * length**2 / math.pi**2
     n_modes = doc.interval.get("modes", modes_for_time(length, probe, 1e-10))
-    quad_points = doc.interval.get("quad_points", 1600)
+    if n_modes > MAX_MODES:
+        raise ParseError(f"interval 'modes' {n_modes} exceeds the limit of {MAX_MODES}")
     delta_fraction = float(doc.interval.get("delta_fraction", 0.49))
-    dom = IntervalDomain(length=length, n_modes=n_modes, quad_points=quad_points)
-    bumps = build_bumps(build_voronoi(doc.position_list(), length, delta_fraction), quad_points)
+    dom = IntervalDomain(length=length, n_modes=n_modes)
+    bumps = build_bumps(build_voronoi(doc.position_list(), length, delta_fraction))
     p = averaged_parametrix(dom, bumps, grid, doc.graph)
     return heat_kernel_via_parametrix(p, tol, ORDER)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
 from heatpar.bessel import besseli, intro_identity_sum
-from heatpar.embed1d import _mode_overlaps
+from heatpar.embed1d import _mode_overlaps, smoothstep
 from heatpar.errors import ContractViolation, DomainError
 from heatpar.graph import SubgraphEmbedding, WeightedGraph
 from heatpar.parametrix import Parametrix
@@ -499,12 +499,78 @@ def recursive_boundary_sets(e: SubgraphEmbedding):
     return boundary, interior, second
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gauss_legendre_rule(lo: float, hi: float, panels: int):
+    """Centres and the common half-width of ``panels`` equal panels of
+    [lo, hi]; the 16-point rule puts the nodes centre + half·GL_NODES, with
+    weights half·GL_WEIGHTS, on each panel."""
+    half = (hi - lo) / (2 * panels)
+    return lo + (2 * np.arange(panels) + 1) * half, half
+
+
+def bump_pieces(a: float, b: float, delta: float):
+    """The smooth pieces of the flat-top bump on the cell [a, b]: rising
+    ramp, plateau and falling ramp."""
+    return [(a + delta / 2, a + delta), (a + delta, b - delta), (b - delta, b - delta / 2)]
+
+
+def bump_quadrature(cell):
+    """Gauss–Legendre nodes and weights on the bump's support, exact for η²,
+    which is a polynomial of degree at most 10 on each smooth piece."""
+    xs, ws = [], []
+    for lo, hi in bump_pieces(cell.a, cell.b, cell.delta):
+        centres, half = gauss_legendre_rule(lo, hi, 25)
+        xs.append((centres[:, None] + half * GL_NODES).ravel())
+        ws.append(np.tile(half * GL_WEIGHTS, len(centres)))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def reference_mode_overlaps(length: float, bumps, modes) -> np.ndarray:
+    """∫ sin(mπx/L) η_v(x) dx for each mode m in ``modes`` (integers from 1
+    to 2**26) and each cell v: 16-point Gauss–Legendre on
+    ``BumpFamily.evaluate`` over each smooth piece of the bump, on panels
+    no longer than half a period of the mode.
+
+    In y = x/L a panel [e, e + 2H] has float edges shared with its
+    neighbours, so the panels tile each piece exactly, and its nodes are
+    y = e + H·(1 + t).  Then sin(mπy) = sin(mπe)·cos(mπH(1 + t)) +
+    cos(mπe)·sin(mπH(1 + t)), with me reduced mod 2 from an exact
+    product.  Taken at rounded nodes and panel centres instead, the sines
+    would put errors near 1e-13 into the overlaps at 20000 modes.
+    """
+    out = np.zeros((len(modes), len(bumps.cells)))
+    for v, cell in enumerate(bumps.cells):
+        for lo, hi in bump_pieces(cell.a / length, cell.b / length, cell.delta / length):
+            for i, m in enumerate(map(int, modes)):
+                edges = np.linspace(lo, hi, max(25, math.ceil(m * (hi - lo))) + 1)
+                e, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0  # both exact
+                split = np.round(e * 2.0**26) / 2.0**26  # m·split is exact
+                turns = np.fmod(m * split, 2.0) + m * (e - split)
+                local = (m * math.pi) * half * (1.0 + GL_NODES)
+                eta = bumps.evaluate(v, length * (e + half * (1.0 + GL_NODES)))
+                sines = np.sin(math.pi * turns) * np.cos(local)
+                sines += np.cos(math.pi * turns) * np.sin(local)
+                out[i, v] += length * np.sum(half * GL_WEIGHTS * eta * sines)
+    return out
+
+
+def reference_ramp_moment(kappa: float) -> complex:
+    """∫₀¹ smoothstep(u)·e^{iκu} du by Gauss–Legendre on panels no longer
+    than half a period."""
+    centres, half = gauss_legendre_rule(0.0, 1.0, max(25, math.ceil(kappa / math.pi)))
+    u = (centres[:, None] + half * GL_NODES).ravel()
+    w = np.tile(half * GL_WEIGHTS, len(centres))
+    return complex(w @ (smoothstep(u) * np.exp(1j * kappa * u)))
+
+
 def full_mode_parametrix(d, bumps, grid, graph):
     """Reference for the symmetric ``averaged_parametrix`` samples and heat
-    image: every sine mode summed at every time, on the refined overlaps.
-    Returns (H, LH) at the grid nodes."""
+    image: every sine mode summed at every time.  Returns (H, LH) at the
+    grid nodes."""
     mu = np.array([c.measure for c in bumps.cells])
-    s = _mode_overlaps(d, bumps, 2 * d.quad_points)
+    s = _mode_overlaps(d, bumps)
     rates = d.rates()
     nv = graph.n
     norm = 1.0 / np.sqrt(np.outer(mu, mu))

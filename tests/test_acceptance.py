@@ -220,7 +220,7 @@ def test_criterion_7_interval_embedding():
     length = 1.0
     cells = build_voronoi([0.17, 0.5, 0.83], length, 0.49)
     bumps = build_bumps(cells)
-    dom = IntervalDomain(length=length, n_modes=520, quad_points=1600)
+    dom = IntervalDomain(length=length, n_modes=520)
     t0 = 1e-4 / math.pi**2
 
     # H at t0 is node 1 of a one-step grid

@@ -116,7 +116,7 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"interval '{key}' must be a finite number"):
             parse_document(json.dumps(data))
 
-    @pytest.mark.parametrize("key", ["modes", "quad_points"])
+    @pytest.mark.parametrize("key", ["modes"])
     @pytest.mark.parametrize("value", [True, 520.9, 520.0, "520"])
     def test_interval_counts_must_be_integers(self, key, value):
         data = json.loads(PLAIN)
@@ -124,9 +124,17 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"interval '{key}' must be an integer"):
             parse_document(json.dumps(data))
 
+    @pytest.mark.parametrize("value", [True, 520.9, 520.0, "520", 1600])
+    def test_quad_points_is_an_unknown_key(self, value):
+        # the overlaps are exact, so no quadrature resolution is read
+        data = json.loads(PLAIN)
+        data["interval"] = {"length": 1.0, "quad_points": value}
+        with pytest.raises(ParseError, match=r"unknown interval keys: \['quad_points'\]"):
+            parse_document(json.dumps(data))
+
     def test_good_interval_settings(self):
         data = json.loads(PLAIN)
-        data["interval"] = {"length": 2, "delta_fraction": 0.4, "modes": 64, "quad_points": 400}
+        data["interval"] = {"length": 2, "delta_fraction": 0.4, "modes": 64}
         assert parse_document(json.dumps(data)).interval == data["interval"]
 
     def test_good_positions(self):

@@ -4,12 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from heatpar import embed1d
 from heatpar.documents import load_document
 from heatpar.embed1d import (
     _EXP_UNDERFLOW,
     IntervalDomain,
-    _cell_quadrature,
     _mode_overlaps,
+    _ramp_moment,
     averaged_parametrix,
     build_bumps,
     build_voronoi,
@@ -17,13 +18,20 @@ from heatpar.embed1d import (
     series_tail_bound,
     smoothstep,
 )
-from heatpar.errors import ContractViolation, ResolutionError
+from heatpar.errors import ContractViolation
 from heatpar.graph import WeightedGraph
 from heatpar.oracle import compare_kernels, spectral_kernel
 from heatpar.parametrix import heat_kernel_via_parametrix
 from heatpar.series import TimeGrid, sample_closed_form
 
-from conftest import first_variable_parametrix, full_mode_parametrix, traced_peak
+from conftest import (
+    bump_quadrature,
+    first_variable_parametrix,
+    full_mode_parametrix,
+    reference_mode_overlaps,
+    reference_ramp_moment,
+    traced_peak,
+)
 
 CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
 
@@ -123,9 +131,9 @@ class TestBumps:
     def test_calibrated_square_integral_on_unequal_cells(self):
         cells = build_voronoi([0.1, 0.3, 0.35, 0.8], 1.0, 0.45)
         assert len({round(c.measure, 12) for c in cells}) == len(cells)
-        bumps = build_bumps(cells, quad_points=1600)
+        bumps = build_bumps(cells)
         for v, cell in enumerate(cells):
-            xs, ws = _cell_quadrature(cell, 1600)
+            xs, ws = bump_quadrature(cell)
             eta = bumps.evaluate(v, xs)
             assert float(ws @ (eta * eta)) == pytest.approx(cell.measure, rel=1e-13)
 
@@ -138,7 +146,7 @@ class TestBumps:
         for cell, amp in zip(cells, bumps.amplitudes):
             mu, delta = cell.measure, cell.delta
             exact = math.sqrt(mu / (mu - 2.0 * delta + (181.0 / 462.0) * delta))
-            assert amp == pytest.approx(exact, abs=2e-6)
+            assert amp == pytest.approx(exact, rel=1e-15)
 
 
 class TestAveragedParametrix:
@@ -147,7 +155,7 @@ class TestAveragedParametrix:
         self.positions = [0.17, 0.5, 0.83]
         self.cells = build_voronoi(self.positions, 1.0, 0.49)
         self.bumps = build_bumps(self.cells)
-        self.dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
+        self.dom = IntervalDomain(length=1.0, n_modes=520)
 
     def sample_at(self, t):
         """H at time ``t``: node 1 of a one-step grid."""
@@ -195,9 +203,7 @@ class TestAveragedParametrix:
         # the bound is recorded from the sweep, not prescribed
         mu = np.array([c.measure for c in self.cells])
         rates = self.dom.rates()
-        from heatpar.embed1d import _mode_overlaps
-
-        s = _mode_overlaps(self.dom, self.bumps, 1600)
+        s = _mode_overlaps(self.dom, self.bumps)
         norm = 1.0 / np.sqrt(np.outer(mu, mu))
         ts = np.logspace(-9, math.log10(0.5), 40)
         for order in (1, 2):
@@ -211,13 +217,16 @@ class TestAveragedParametrix:
             assert math.isfinite(sup)
             assert sup <= 1.0001 * limit  # monotone approach to the t->0 limit
 
-    def test_quadrature_budget_guard(self):
-        # a fine time grid probes high modes, which a 24-point cell
-        # quadrature cannot integrate
-        dom = IntervalDomain(length=1.0, n_modes=520, quad_points=24)
-        grid = TimeGrid(0.5, 4096)
-        with pytest.raises(ResolutionError):
-            averaged_parametrix(dom, self.bumps, grid, self.g)
+    def test_overlaps_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mode_overlaps(*args)
+
+        monkeypatch.setattr(embed1d, "_mode_overlaps", counted)
+        averaged_parametrix(self.dom, self.bumps, TimeGrid(0.5, 8), self.g)
+        assert len(calls) == 1
 
     def test_size_mismatch(self):
         grid = TimeGrid(0.5, 8)
@@ -231,24 +240,38 @@ def interval_case():
     doc = load_document(os.path.join(CASES, "path3_interval.json"))
     bumps = build_bumps(build_voronoi(doc.position_list(), 1.0, 0.49))
     n_modes = modes_for_time(1.0, 1e-4 / math.pi**2, 1e-10)
-    return doc.graph, bumps, IntervalDomain(1.0, n_modes, 1600)
+    return doc.graph, bumps, IntervalDomain(1.0, n_modes)
+
+
+def assert_overlaps_match_direct_sines(cells, length, n_modes):
+    # every mode up to 510; of 20000, every 156th and the last
+    bumps = build_bumps(cells)
+    s = _mode_overlaps(IntervalDomain(length=length, n_modes=n_modes), bumps)
+    modes = np.unique(np.r_[np.arange(1, n_modes + 1, max(1, n_modes // 128)), n_modes])
+    ref = reference_mode_overlaps(length, bumps, modes)
+    assert np.abs(s[modes - 1] - ref).max() <= 1e-13
 
 
 class TestSineSeries:
-    @pytest.mark.parametrize("n_modes", [1, 31, 32, 33, 510])
+    @pytest.mark.parametrize("n_modes", [1, 31, 32, 33, 510, 20000])
     @pytest.mark.parametrize("length", [1.0, 2.5])
     def test_overlaps_match_direct_sines(self, n_modes, length):
         cells = build_voronoi([0.17 * length, 0.5 * length, 0.83 * length], length, 0.49)
-        bumps = build_bumps(cells)
-        dom = IntervalDomain(length=length, n_modes=n_modes)
-        freqs = np.arange(1, n_modes + 1) * math.pi / length
-        for quad_points in (1600, 3200):
-            s = _mode_overlaps(dom, bumps, quad_points)
-            ref = np.empty_like(s)
-            for v, cell in enumerate(cells):
-                xs, ws = _cell_quadrature(cell, quad_points)
-                ref[:, v] = np.sin(np.outer(freqs, xs)) @ (ws * bumps.evaluate(v, xs))
-            assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert_overlaps_match_direct_sines(cells, length, n_modes)
+
+    @pytest.mark.parametrize("n_modes", [1, 510, 20000])
+    def test_overlaps_on_unequal_cells_match_direct_sines(self, n_modes):
+        cells = build_voronoi([0.1, 0.3, 0.35, 0.8], 1.0, 0.45)
+        assert_overlaps_match_direct_sines(cells, 1.0, n_modes)
+
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 1e-6, 0.5, 2.0, 3.99, math.nextafter(4.0, 0.0), 4.0, 4.01, 6.0, 20.0, 1e3]
+    )
+    def test_ramp_moment_matches_dense_reference(self, kappa):
+        # both sides of κ = 4, where the Taylor series hands over to the
+        # integration by parts
+        m = _ramp_moment(np.array([kappa]))[0]
+        assert abs(m - reference_ramp_moment(kappa)) <= 1e-15
 
     def test_underflow_cut_is_exact(self):
         # every skipped mode has rate·t >= the cut, where e^{−rate·t} is 0.0
@@ -276,7 +299,7 @@ class TestEmbeddedKernel:
         # no edges: the embedded kernel must be constant one
         g = WeightedGraph(np.zeros((1, 1)))
         bumps = build_bumps(build_voronoi([0.5], 1.0, 0.49))
-        dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
+        dom = IntervalDomain(length=1.0, n_modes=520)
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(dom, bumps, grid, g)
         assert p.samples[0, 0, 0] == pytest.approx(1.0, abs=1e-7)
@@ -286,7 +309,7 @@ class TestEmbeddedKernel:
     def test_path3_against_spectral(self):
         g = WeightedGraph.path(3)
         bumps = build_bumps(build_voronoi([0.17, 0.5, 0.83], 1.0, 0.49))
-        dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
+        dom = IntervalDomain(length=1.0, n_modes=520)
         grid = TimeGrid(0.5, 65536)
         p = averaged_parametrix(dom, bumps, grid, g)
         hg = heat_kernel_via_parametrix(p, 1e-8)
@@ -310,7 +333,7 @@ class TestEmbeddedKernel:
         g = WeightedGraph.path(3)
         cells = build_voronoi([0.17, 0.5, 0.83], 1.0, 0.49)
         bumps = build_bumps(cells)
-        dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
+        dom = IntervalDomain(length=1.0, n_modes=520)
         grid = TimeGrid(0.5, 32768)
         p = averaged_parametrix(dom, bumps, grid, g)
         hs = [
@@ -322,7 +345,7 @@ class TestEmbeddedKernel:
         # the assembled kernel does not depend on the bump family beyond the
         # combined numerical budgets of the two runs
         g = WeightedGraph.path(3)
-        dom = IntervalDomain(length=1.0, n_modes=520, quad_points=1600)
+        dom = IntervalDomain(length=1.0, n_modes=520)
         grid = TimeGrid(0.5, 32768)
         results = []
         for dfrac in (0.49, 0.245):

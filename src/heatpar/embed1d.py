@@ -3,9 +3,9 @@ Dirichlet sine-series heat kernel.
 
 Each vertex sits at a position in (0, L) and owns the Voronoi cell of
 points nearer to it than to any other vertex.  A per-cell flat-top bump,
-a plateau of height A joined to zero by one monotone ramp, with A
-calibrated so that ∫η² equals the cell measure, averages the interval
-kernel into a graph parametrix:
+a plateau of height A joined to zero at the cell edges by one monotone
+ramp across a collar of width δ, with A calibrated so that ∫η² equals the
+cell measure, averages the interval kernel into a graph parametrix:
 
     H0(v1, v2; t) = (μ_{v1} μ_{v2})^{−1/2} ∫∫ K(x, y; t) η_{v1}(x) η_{v2}(y) dy dx.
 
@@ -119,9 +119,9 @@ class BumpFamily:
     """Per-cell flat-top bumps, one amplitude A per cell.
 
     Within each cell, at distance d from the cell boundary, the bump is A
-    on the plateau d >= delta, A·smoothstep((d − delta/2)/(delta/2)) on the
-    band delta/2 <= d < delta, and zero within delta/2 of the boundary.  The
-    support stays inside the cell, so the parametrix starts diagonal.
+    on the plateau d >= delta and A·smoothstep(d/delta) on the collar
+    0 <= d < delta.  It vanishes only at the cell edges, where neighbouring
+    supports meet in a single point, so the parametrix starts diagonal.
     """
 
     cells: tuple[VoronoiCell1D, ...]
@@ -131,17 +131,17 @@ class BumpFamily:
         cell = self.cells[v]
         xs = np.asarray(xs, dtype=float)
         d = np.minimum(xs - cell.a, cell.b - xs)
-        return self.amplitudes[v] * smoothstep(np.clip(2.0 * d / cell.delta - 1.0, 0.0, 1.0))
+        return self.amplitudes[v] * smoothstep(np.clip(d / cell.delta, 0.0, 1.0))
 
 
 def build_bumps(cells: list[VoronoiCell1D]) -> BumpFamily:
     """Calibrate each cell's amplitude so that ∫η² = cell measure.
 
     The profile φ = η/A is 1 on a plateau of length μ − 2δ and smoothstep on
-    two ramps of width δ/2, so ∫φ² = μ − 2δ + (181/462)·δ < μ and
+    two ramps of width δ, so ∫φ² = μ − 2δ + (181/231)·δ < μ and
     A = √(μ/∫φ²) > 1.
     """
-    amps = [math.sqrt(c.measure / (c.measure - (2.0 - 181.0 / 462.0) * c.delta)) for c in cells]
+    amps = [math.sqrt(c.measure / (c.measure - (2.0 - 181.0 / 231.0) * c.delta)) for c in cells]
     return BumpFamily(cells=tuple(cells), amplitudes=tuple(amps))
 
 
@@ -177,19 +177,18 @@ def _mode_overlaps(d: IntervalDomain, bumps: BumpFamily) -> np.ndarray:
     """s[m, v] = ∫ sin(ωx) η_v(x) dx, ω = (m+1)π/L, in closed form.
 
     The plateau [a+δ, b−δ] gives 2A·sin(ω(a+b)/2)·sin(ω((b−a)/2 − δ))/ω, a
-    product with no cancellation at small ω.  With h = δ/2 and κ = ωh, the
-    ramp on [a+h, a+δ] gives A·h·Im(e^{iω(a+h)}·M(κ)), and its mirror image
-    on [b−δ, b−h] gives A·h·Im(e^{iω(b−h)}·conj M(κ)).
+    product with no cancellation at small ω.  With κ = ωδ, the ramp on
+    [a, a+δ] gives A·δ·Im(e^{iωa}·M(κ)), and its mirror image on [b−δ, b]
+    gives A·δ·Im(e^{iωb}·conj M(κ)).
     """
     omega = np.arange(1, d.n_modes + 1) * (math.pi / d.length)
     out = np.empty((d.n_modes, len(bumps.cells)))
     for v, (cell, amp) in enumerate(zip(bumps.cells, bumps.amplitudes)):
         a, b, delta = cell.a, cell.b, cell.delta
-        h = delta / 2.0
         plateau = np.sin(omega * (a + b) / 2.0) * np.sin(omega * ((b - a) / 2.0 - delta))
-        m = _ramp_moment(omega * h)
-        ramps = (np.exp(1j * omega * (a + h)) * m + np.exp(1j * omega * (b - h)) * m.conj()).imag
-        out[:, v] = amp * (2.0 * plateau / omega + h * ramps)
+        m = _ramp_moment(omega * delta)
+        ramps = (np.exp(1j * omega * a) * m + np.exp(1j * omega * b) * m.conj()).imag
+        out[:, v] = amp * (2.0 * plateau / omega + delta * ramps)
     return out
 
 
@@ -207,20 +206,24 @@ def averaged_parametrix(
     rates = d.rates()
     norm = 1.0 / np.sqrt(np.outer(mu, mu))
 
-    # mode sums collapse to one matrix product per block of times.  The
-    # rates increase, so in a block only the modes with rate·t_min below the
-    # underflow cut have a nonzero exponential; the rest are skipped exactly.
-    # H and its termwise time derivative share one pass of exponentials.
+    # mode sums collapse to one matrix product per block of modes and block
+    # of times, so only the (modes, n) overlaps grow with the mode count.
+    # The rates increase, so in a time block only the modes with rate·t_min
+    # below the underflow cut have a nonzero exponential; the rest are
+    # skipped exactly.  H and its termwise time derivative share one pass of
+    # exponentials.
     nv = graph.n
-    pair = np.einsum("nv,nw->nvw", s, s).reshape(d.n_modes, nv * nv) * (2.0 / d.length)
-    dpair = pair * (-rates[:, None])
     times = grid.nodes
-    h, dh = np.empty((len(times), nv, nv)), np.empty((len(times), nv, nv))
-    for blk in time_blocks(len(times), d.n_modes):
-        block = times[blk]
-        live = int(np.searchsorted(rates * block.min(), _EXP_UNDERFLOW))
-        w = np.exp(-np.outer(block, rates[:live]))
-        h[blk] = (w @ pair[:live]).reshape(-1, nv, nv) * norm
-        dh[blk] = (w @ dpair[:live]).reshape(-1, nv, nv) * norm
+    h, dh = np.zeros((len(times), nv * nv)), np.zeros((len(times), nv * nv))
+    for modes in time_blocks(d.n_modes, nv * nv):
+        pair = np.einsum("nv,nw->nvw", s[modes], s[modes]).reshape(-1, nv * nv) * (2.0 / d.length)
+        dpair = pair * (-rates[modes, None])
+        r = rates[modes]
+        for blk in time_blocks(len(times), len(r)):
+            live = int(np.searchsorted(r * times[blk].min(), _EXP_UNDERFLOW))
+            w = np.exp(-np.outer(times[blk], r[:live]))
+            h[blk] += w @ pair[:live]
+            dh[blk] += w @ dpair[:live]
+    h, dh = h.reshape(-1, nv, nv) * norm, dh.reshape(-1, nv, nv) * norm
     lh = np.einsum("xv,cvw->cxw", graph.laplacian_matrix(), h) + dh  # LH = ΔH + ∂_t H
     return Parametrix(grid, h, tuple(range(nv)), lh)

@@ -513,7 +513,7 @@ def gauss_legendre_rule(lo: float, hi: float, panels: int):
 def bump_pieces(a: float, b: float, delta: float):
     """The smooth pieces of the flat-top bump on the cell [a, b]: rising
     ramp, plateau and falling ramp."""
-    return [(a + delta / 2, a + delta), (a + delta, b - delta), (b - delta, b - delta / 2)]
+    return [(a, a + delta), (a + delta, b - delta), (b - delta, b)]
 
 
 def bump_quadrature(cell):

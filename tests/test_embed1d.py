@@ -20,6 +20,7 @@ from heatpar.embed1d import (
 )
 from heatpar.errors import ContractViolation
 from heatpar.graph import WeightedGraph
+from heatpar.methods import METHODS
 from heatpar.oracle import compare_kernels, spectral_kernel
 from heatpar.parametrix import heat_kernel_via_parametrix
 from heatpar.series import TimeGrid, sample_closed_form
@@ -119,14 +120,16 @@ class TestBumps:
         prod = bumps.evaluate(0, xs) * bumps.evaluate(1, xs)
         assert np.all(prod == 0.0)
 
-    def test_plateau_and_zero_band(self):
+    def test_plateau_and_edges(self):
         cells = build_voronoi([0.5], 1.0, 0.25)
         bumps = build_bumps(cells)
         c = cells[0]
         inner = np.linspace(c.a + c.delta, c.b - c.delta, 101)
         assert np.abs(bumps.evaluate(0, inner) - bumps.amplitudes[0]).max() == 0.0
-        near_edge = np.linspace(c.a, c.a + c.delta / 2, 51)
-        assert np.abs(bumps.evaluate(0, near_edge)).max() == 0.0
+        assert bumps.evaluate(0, [c.a, c.b]).tolist() == [0.0, 0.0]
+        collars = np.r_[np.linspace(c.a, c.a + c.delta, 51)[1:],
+                        np.linspace(c.b - c.delta, c.b, 51)[:-1]]
+        assert np.all(bumps.evaluate(0, collars) > 0.0)
 
     def test_calibrated_square_integral_on_unequal_cells(self):
         cells = build_voronoi([0.1, 0.3, 0.35, 0.8], 1.0, 0.45)
@@ -138,14 +141,14 @@ class TestBumps:
             assert float(ws @ (eta * eta)) == pytest.approx(cell.measure, rel=1e-13)
 
     def test_amplitude_matches_exact_root(self):
-        # ∫η² = A²·(μ − 2δ + (δ/2)·2·∫₀¹smoothstep²) with ∫₀¹smoothstep² =
-        # 181/462, so A = √(μ / (μ − 2δ + (181/462)·δ)) = 1.148010874845431
+        # ∫η² = A²·(μ − 2δ + δ·2·∫₀¹smoothstep²) with ∫₀¹smoothstep² =
+        # 181/462, so A = √(μ / (μ − 2δ + (181/231)·δ)) = 1.105980565075922
         # for cells [0, 0.5] and [0.5, 1] with δ = 0.075
         cells = build_voronoi([0.25, 0.75], 1.0, 0.3)
         bumps = build_bumps(cells)
         for cell, amp in zip(cells, bumps.amplitudes):
             mu, delta = cell.measure, cell.delta
-            exact = math.sqrt(mu / (mu - 2.0 * delta + (181.0 / 462.0) * delta))
+            exact = math.sqrt(mu / (mu - 2.0 * delta + (181.0 / 231.0) * delta))
             assert amp == pytest.approx(exact, rel=1e-15)
 
 
@@ -170,8 +173,8 @@ class TestAveragedParametrix:
 
     def test_criterion_7_gate_at_32768_steps(self):
         # criterion 7 runs 262144 steps; the flat-top bump meets its 1e-3
-        # gate from 8× fewer, and its Dirac defect (0.0035) is well inside
-        # criterion 7's 0.02
+        # gate (8.8e-5 here) from 8× fewer, and its Dirac defect (0.0015) is
+        # well inside criterion 7's 0.02
         h0 = self.sample_at(1e-4 / math.pi**2)
         off = h0 - np.diag(np.diag(h0))
         assert max(np.abs(np.diag(h0) - 1.0).max(), np.abs(off).max()) <= 0.005
@@ -234,6 +237,21 @@ class TestAveragedParametrix:
             averaged_parametrix(self.dom, self.bumps, grid, WeightedGraph.path(4))
 
 
+def test_embed_method_resolves_the_collar_layer():
+    # ``parametrix-embed`` at the CLI's order 4 against the ``spectral``
+    # oracle on t <= 0.25: once the bumps' initial layer is resolved, each
+    # halving of dt cuts the error about tenfold (1.42e-4 → 1.42e-5)
+    doc = load_document(os.path.join(CASES, "path3_interval.json"))
+    errors = []
+    for steps in (4096, 8192):
+        grid = TimeGrid(0.25, steps)
+        k = METHODS["parametrix-embed"](doc, grid, 1e-8)
+        exact = METHODS["spectral"](doc, grid, 1e-8)
+        errors.append(compare_kernels(k, exact, grid.nodes).sup_error)
+    assert errors[1] <= 2e-5
+    assert errors[0] / errors[1] >= 9.0
+
+
 def interval_case():
     """The `cases/path3_interval.json` setup that `heatpar kernel --method
     parametrix-embed` builds: graph, bumps and domain."""
@@ -241,6 +259,14 @@ def interval_case():
     bumps = build_bumps(build_voronoi(doc.position_list(), 1.0, 0.49))
     n_modes = modes_for_time(1.0, 1e-4 / math.pi**2, 1e-10)
     return doc.graph, bumps, IntervalDomain(1.0, n_modes)
+
+
+def path20_case(n_modes=2000):
+    """A 20-vertex path at evenly spaced positions in (0, 1): graph, bumps
+    and a domain of ``n_modes`` modes, which at 2000 are four blocks of
+    modes."""
+    bumps = build_bumps(build_voronoi(np.linspace(0.025, 0.975, 20), 1.0, 0.49))
+    return WeightedGraph.path(20), bumps, IntervalDomain(1.0, n_modes)
 
 
 def assert_overlaps_match_direct_sines(cells, length, n_modes):
@@ -278,13 +304,25 @@ class TestSineSeries:
         assert np.exp(-_EXP_UNDERFLOW) == 0.0
         assert not np.exp(-np.full(37, _EXP_UNDERFLOW)).any()
 
-    def test_mode_sums_match_full_mode_reference(self):
-        g, bumps, dom = interval_case()
-        grid = TimeGrid(0.25, 8192)
+    @staticmethod
+    def assert_mode_sums_match_full_mode_reference(case, grid):
+        g, bumps, dom = case()
         p = averaged_parametrix(dom, bumps, grid, g)
         h, lh = full_mode_parametrix(dom, bumps, grid, g)
         assert np.all(np.abs(p.samples - h) <= 1e-12 * np.maximum(1.0, np.abs(h)))
         assert np.all(np.abs(p.heat_image - lh) <= 1e-12 * np.maximum(1.0, np.abs(lh)))
+
+    def test_mode_sums_match_full_mode_reference(self):
+        self.assert_mode_sums_match_full_mode_reference(interval_case, TimeGrid(0.25, 8192))
+
+    def test_mode_sums_over_four_mode_blocks_match_full_mode_reference(self):
+        self.assert_mode_sums_match_full_mode_reference(path20_case, TimeGrid(0.25, 64))
+
+    def test_peak_memory_has_no_modes_by_pairs_array(self):
+        # the (modes, n²) products of the overlaps would be 64 MB each at
+        # 20000 modes; a block of modes at a time, the peak is about 12.5 MB
+        g, bumps, dom = path20_case(20000)
+        assert traced_peak(averaged_parametrix, dom, bumps, TimeGrid(0.25, 64), g) < 20e6
 
     def test_peak_memory_has_no_times_by_modes_array(self):
         # all 510 modes at all 16385 times would be 67 MB for one exponential array

@@ -36,8 +36,10 @@ from .oracle import jacobi_eigh
 from .series import (
     ClosedFormKernel,
     TimeGrid,
+    _series_product,
     convolution_rule,
     convolve_values,
+    end_weighted,
     fold_bound,
     next_fast_len,
     sample_closed_form,
@@ -303,22 +305,24 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
     Its start values F_0..F_d come from one linear solve
     (:func:`_start_values`; d is 0 for the trapezoid and min(4, M) for
     order 4).  From node 2·len(γ) − 1 on, conv is dt times the power-series
-    product of Φ = γ′F and Λ = γ′L, L = LH on the block, so modulo z^{M+1}
+    product of Φ = γ′F and Λ = γ′L, L = LH on the block and γ′ the
+    ``series.end_weighted`` scaling, so modulo z^{M+1}
 
         Φ·(I + dt·Λ) = −Λ + E,
 
     with E the polynomial of degree ≤ d that makes the first d + 1
-    coefficients those of the start values.  Φ, which is F from node d + 1
-    on, is that right-hand side divided on the right by I + dt·Λ
-    (:func:`_series_quotient`): the inverse of I + dt·Λ to ⌈(M+1)/2⌉
-    coefficients (:func:`_series_inverse`), then one Karp–Markstein step
-    to M + 1.  For the trapezoid, γ = (½) and this is
-    F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹.  When S is every vertex the block
-    is all of F; otherwise one more convolution
-    F_S = −L_S − conv(F_SS, L_S) gives the support rows' columns off S,
-    and the block keeps its solved values.  The support rows are all of F
-    that is returned.  ``residual`` is the sup of F + LH + conv(F, LH) on the
-    block, from the F returned.
+    coefficients those of the start values: there the left side is the
+    known head Φ_{..d}·(I + dt·Λ_{..d}), one short power-series product.
+    Φ, which is F from node d + 1 on, is that right-hand side divided on
+    the right by I + dt·Λ (:func:`_series_quotient`): the inverse of
+    I + dt·Λ to ⌈(M+1)/2⌉ coefficients (:func:`_series_inverse`), then one
+    Karp–Markstein step to M + 1.  For the trapezoid, γ = (½) and this is
+    F′ = −(L′ + ¼·dt·L₀²)(I + dt·L′)⁻¹.  One convolution
+    C = conv(F_SS, L_S) of the solved block with the support rows of LH
+    then gives the rest: the support rows F_S = −L_S − C off the block,
+    which keeps its solved values, and ``residual``, the sup of
+    F_SS + L_SS + C_SS, the discrete equation on the block.  The support
+    rows are all of F that is returned.
 
     ``tol`` does not change F; it only sizes the factorial bound.
     ``terms_used`` is the first ℓ whose next term's bound, evaluated at
@@ -349,32 +353,25 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
     residual = 0.0
     if c_emp > 0.0:
         l_ss = lh_s[:, :, supp]
-        weights = np.ones((m1, 1, 1))
-        weights[: len(head), 0, 0] = head[:m1]
-        lam = weights * l_ss
+        lam = end_weighted(l_ss, head)
         # overflow shows as a non-finite or huge F, reported just below
         with np.errstate(over="ignore", invalid="ignore"):
             f_head = _start_values(l_ss, start, dt)
-            phi = weights[: len(f_head)] * f_head
+            phi = end_weighted(f_head, head)
+            k = len(f_head)
             num = -lam
-            for j in range(len(f_head)):  # the known head of Φ·(I + dt·Λ)
-                prod = phi[j] @ lam[0]
-                for r in range(1, j + 1):
-                    prod += phi[j - r] @ lam[r]
-                num[j] = phi[j] + dt * prod
+            num[:k] = phi + dt * _series_product(phi, lam[:k], k)
             den = dt * lam
             den[0] += np.eye(len(supp))
             f_ss = _series_quotient(num, den)
-            f_ss[: len(f_head)] = f_head
-            if len(supp) == p.n:
-                f_s = f_ss
-            else:
-                f_s = -lh_s - convolve_values(f_ss, lh_s, dt, order)
-                f_s[:, :, supp] = f_ss
+            f_ss[:k] = f_head
+            conv = convolve_values(f_ss, lh_s, dt, order)
+            f_s = -lh_s - conv
+            f_s[:, :, supp] = f_ss
             peak = float(np.abs(f_s).max())
             if not math.isfinite(peak) or peak > 1e150:
                 raise NonConvergenceError(_COARSE_GRID)
-            residual = float(np.abs(f_ss + l_ss + convolve_values(f_ss, l_ss, dt, order)).max())
+            residual = float(np.abs(f_ss + l_ss + conv[:, :, supp]).max())
     return NeumannSeriesResult(
         F=f_s,
         grid=p.grid,
@@ -387,18 +384,14 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
     )
 
 
-def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult, order: int = 2) -> np.ndarray:
+def assemble_heat_kernel(p: Parametrix, series: NeumannSeriesResult) -> np.ndarray:
     """H_G = H + H * F on the grid nodes, shape (M+1, n, n), with the
-    convolution restricted to the support of F and taken by the rule of
-    ``order``, which must be the one ``series`` was solved with."""
+    convolution restricted to the support of F and taken by the rule the
+    series was solved with, ``series.order``."""
     if (series.grid, series.support) != (p.grid, p.support):
         raise ContractViolation("series grid or support does not match the parametrix")
-    if series.order != order:
-        raise ContractViolation(
-            f"series was solved at order {series.order}, assembly asked for order {order}"
-        )
     h = p.samples
-    corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt, order)
+    corr = convolve_values(h[:, :, list(p.support)], series.F, p.grid.dt, series.order)
     corr += h  # in place: the correction is a new array, the samples stay as they are
     return corr
 
@@ -408,7 +401,7 @@ def heat_kernel_via_parametrix(p: Parametrix, tol: float, order: int = 2) -> np.
     ``order``; the correction at the first grid node must be O(dt), as a
     heat image that is O(1) near t = 0 makes it."""
     series = neumann_series(p, tol, order)
-    out = assemble_heat_kernel(p, series, order)
+    out = assemble_heat_kernel(p, series)
     corr = float(np.abs(out[1] - p.samples[1]).max())
     h_scale = max(1.0, float(np.abs(p.samples[1]).max()))
     limit = 4.0 * series.bound_constant * p.n * p.grid.dt * h_scale + 1e-12

@@ -142,20 +142,14 @@ def start_weights(d: int) -> np.ndarray:
     return out
 
 
-def _weigh_spectrum(spec: np.ndarray, x: np.ndarray, head: tuple[float, ...], phases):
-    """Turn the spectrum of ``x`` in place into that of x with its first
-    coefficients scaled by ``head``.  Coefficient k adds itself times
-    e^{−2πi·kf/nfft} to frequency f, so scaling it shifts the spectrum: by
-    a constant for k = 0, and by ``phases[:, k − 1]`` times it for k >= 1,
-    all of those in one product."""
-    if not head:
-        return
-    spec -= (1.0 - head[0]) * x[0]
+def end_weighted(x: np.ndarray, head: tuple[float, ...]) -> np.ndarray:
+    """A copy of the series ``x`` with its first coefficients scaled by the
+    end weights ``head``: γ′x, γ′ = (γ, 1, 1, ...), as the convolution rules
+    weight each operand of their power-series product."""
+    out = x.copy()
     k = min(len(head), len(x))
-    if k > 1:
-        scale = 1.0 - np.array(head[1:k])
-        shift = phases[:, : k - 1] @ (scale[:, None] * x[1:k].reshape(k - 1, -1))
-        spec -= shift.reshape(spec.shape)
+    out[:k] *= np.reshape(head[:k], (k,) + (1,) * (x.ndim - 1))
+    return out
 
 
 def _series_product(
@@ -167,21 +161,16 @@ def _series_product(
     ``b`` is transformed once; the rows of ``a`` go through the transform,
     the product and the inverse a block at a time, each block sized to
     about ``_BLOCK_ENTRIES`` spectrum entries, and only the first ``m``
-    coefficients of each block are kept.  With ``head`` the first
-    coefficients of both series are scaled by it first, as the convolution
-    rules weight them, through :func:`_weigh_spectrum`.
+    coefficients of each block are kept.  With ``head`` both series are
+    :func:`end_weighted` by it before their transforms, ``b`` once and ``a``
+    a block at a time, as the convolution rules weight them.
     """
     nfft = next_fast_len(a.shape[0] + b.shape[0] - 1)
-    freqs = np.arange(nfft // 2 + 1)
-    phases = np.exp(-2j * np.pi / nfft * np.outer(freqs, np.arange(1, len(head))))
-    fb = np.fft.rfft(b, n=nfft, axis=0)
-    _weigh_spectrum(fb, b, head, phases)
+    fb = np.fft.rfft(end_weighted(b, head), n=nfft, axis=0)
     out = np.empty((m, a.shape[1], b.shape[2]))
     rows = max(1, _BLOCK_ENTRIES // (fb.shape[0] * b.shape[2]))
     for i in range(0, a.shape[1], rows):
-        blk = a[:, i : i + rows]
-        fa = np.fft.rfft(blk, n=nfft, axis=0)
-        _weigh_spectrum(fa, blk, head, phases)
+        fa = np.fft.rfft(end_weighted(a[:, i : i + rows], head), n=nfft, axis=0)
         out[:, i : i + rows] = np.fft.irfft(fa @ fb, n=nfft, axis=0)[:m]
     return out
 

@@ -175,8 +175,8 @@ class TestBlockedProduct:
 
     @pytest.mark.parametrize("shape, blocks", SHAPES)
     def test_gregory_head_matches_one_shot_reference(self, rng, shape, blocks):
-        # the first three coefficients weighted through phase-shifted
-        # spectra, against weighting them before the transform
+        # the first three coefficients weighted in b once and in each row
+        # block of a, against weighting both whole before one product
         ma, mb, m, p, q, r = shape
         a = rng.normal(size=(ma, p, q))
         b = rng.normal(size=(mb, q, r))

@@ -167,18 +167,13 @@ def parse_document(text: str) -> GraphDocument:
 
     interval = data.get("interval", {})
     _check(isinstance(interval, dict), "'interval' must be an object")
-    unknown = set(interval) - {"length", "modes", "delta_fraction"}
+    unknown = set(interval) - {"length"}
     _check(not unknown, f"unknown interval keys: {sorted(unknown)}")
-    for key, x in interval.items():
-        if key in ("length", "delta_fraction"):
-            # finite, and an int too large for a float is refused as well
-            ok = _is_number(x) and abs(x) <= sys.float_info.max
-            _check(ok, f"interval '{key}' must be a finite number")
-        else:
-            ok = isinstance(x, int) and not isinstance(x, bool)
-            _check(ok, f"interval '{key}' must be an integer")
+    length = interval.get("length", 1.0)
+    # finite, and an int too large for a float is refused as well
+    ok = _is_number(length) and abs(length) <= sys.float_info.max
+    _check(ok, "interval 'length' must be a finite number")
     if positions:
-        length = float(interval.get("length", 1.0))
         order = sorted(range(len(names)), key=lambda i: positions[names[i]])
         _check(
             order == list(range(len(names))),

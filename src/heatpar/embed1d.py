@@ -47,20 +47,21 @@ class IntervalDomain:
         return (n * math.pi / self.length) ** 2
 
 
-MAX_MODES = 200_000  # the most sine-series modes searched for or accepted
+MAX_MODES = 200_000  # the most sine-series modes searched for
+_TAIL_TOL = 1e-10  # the dropped sine-series tail a mode count must stay below
 
 
-def modes_for_time(length: float, t_min: float, tol: float = 1e-10) -> int:
+def modes_for_time(length: float, t_min: float) -> int:
     """Smallest mode count whose dropped sine-series tail at t_min is
-    certified below ``tol``."""
+    certified below ``_TAIL_TOL``."""
     if t_min <= 0 or length <= 0:
         raise ContractViolation("length and t_min must be positive")
     n = 8
     while n < MAX_MODES:
-        if series_tail_bound(length, t_min, n) < tol:
+        if series_tail_bound(length, t_min, n) < _TAIL_TOL:
             # back off to the smallest sufficient count
             lo = n // 2
-            while series_tail_bound(length, t_min, lo) >= tol:
+            while series_tail_bound(length, t_min, lo) >= _TAIL_TOL:
                 lo += 1
             return lo
         n *= 2

@@ -9,12 +9,12 @@ image LH = (Δ + ∂_t)H, the corrected kernel is
 where * is the graph convolution.  The whole discrete series is solved
 directly as a Volterra equation by one power-series quotient: a Newton
 inverse to half the length by middle products, then one Karp–Markstein
-step; the requested tolerance only sizes the factorial term bound reported
-with it.  The series, its residual and the assembly take the convolution
-rule of one ``order``: 2, the trapezoid and the default, or 4, Gregory's
-rule (see ``series``), which the CLI's parametrix methods run.  Heat images
-are always assembled from closed-form values, never by numerically
-differentiating a sampled kernel.
+step; the requested tolerance does not change it and only sets the term
+count ``terms_used`` of an empirical factorial bound.  The series, its
+residual and the assembly take the convolution rule of one ``order``: 2,
+the trapezoid and the default, or 4, Gregory's rule (see ``series``), which
+the CLI's parametrix methods run.  Heat images are always assembled from
+closed-form values, never by numerically differentiating a sampled kernel.
 """
 
 from __future__ import annotations
@@ -85,15 +85,14 @@ class Parametrix:
 @dataclass(frozen=True)
 class NeumannSeriesResult:
     """Correction series F on the support rows, shape (M+1, |support|, n),
-    solved with the convolution rule of ``order``, with its bound
-    certificate and discrete residual; F vanishes off them."""
+    solved with the convolution rule of ``order``, with its term count,
+    bound constant and discrete residual; F vanishes off them."""
 
     F: np.ndarray
     grid: TimeGrid
     support: tuple[int, ...]
     order: int
     terms_used: int
-    certified_tail: float
     bound_constant: float
     residual: float
 
@@ -324,30 +323,21 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
     F_SS + L_SS + C_SS, the discrete equation on the block.  The support
     rows are all of F that is returned.
 
-    ``tol`` does not change F; it only sizes the factorial bound.
-    ``terms_used`` is the first ℓ whose next term's bound, evaluated at
-    t_max with the empirical sup of |LH| (inflated by 1.1) standing in for
-    the true constant and the support size as the vertex count, drops below
-    ``tol``; ``certified_tail`` sums the bound over the later terms.
+    ``tol`` does not change F; it only sets ``terms_used``, the first ℓ
+    whose next term's bound, evaluated at t_max with the empirical sup of
+    |LH| (inflated by 1.1) standing in for the true constant and the support
+    size as the vertex count, drops below ``tol``.  Nothing proves that
+    constant, so the count is empirical.
     """
     if not tol > 0:
         raise ContractViolation("tolerance must be positive")
     lh_s = p.heat_image
     m1 = lh_s.shape[0]
     dt = p.grid.dt
-    t_max = p.grid.t_max
     head, start = convolution_rule(order, m1 - 1)
     supp = list(p.support)
-    n_eff = max(1, len(supp))
     c_emp = 1.1 * float(np.abs(lh_s).max(initial=0.0))
-
-    terms_used = series_terms(c_emp, n_eff, t_max, tol)
-    tail = 0.0
-    for ell in range(terms_used + 1, terms_used + 500):
-        b = fold_bound(c_emp, 0, ell, n_eff, t_max)
-        tail += b
-        if b == 0.0 or b <= 1e-16 * tail:
-            break
+    terms_used = series_terms(c_emp, max(1, len(supp)), p.grid.t_max, tol)
 
     f_s = np.zeros(lh_s.shape)
     residual = 0.0
@@ -378,7 +368,6 @@ def neumann_series(p: Parametrix, tol: float, order: int = 2) -> NeumannSeriesRe
         support=p.support,
         order=order,
         terms_used=terms_used,
-        certified_tail=tail,
         bound_constant=c_emp,
         residual=residual,
     )

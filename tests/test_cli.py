@@ -183,21 +183,6 @@ class TestKernelCommand:
         assert status == 2
         assert f"'{key}'" in capsys.readouterr().err
 
-    def test_too_many_modes_exits_2(self, tmp_path, capsys):
-        # 10^8 modes once asked numpy for 28 GiB and died with a traceback
-        with open(case("path3_interval.json"), encoding="utf-8") as f:
-            doc = json.load(f)
-        doc["interval"]["modes"] = 100_000_000
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "k.csv"
-        status = run_main(["kernel", "--graph", str(bad), "--method", "parametrix-embed",
-                           "--steps", "4", "--out", str(out)])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert err == "error: interval 'modes' 100000000 exceeds the limit of 200000\n"
-        assert not out.exists()
-
     def test_boolean_weight_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", True]]}))

@@ -47,7 +47,7 @@ def fine_integral(f, a, b, panels=200_000):
 class TestIntervalKernel:
     def test_mode_certificate(self):
         t_min = 1e-4 / math.pi**2
-        n = modes_for_time(1.0, t_min, 1e-10)
+        n = modes_for_time(1.0, t_min)
         assert series_tail_bound(1.0, t_min, n) < 1e-10
         assert series_tail_bound(1.0, t_min, n - 1) >= 1e-10
 
@@ -257,7 +257,7 @@ def interval_case():
     parametrix-embed` builds: graph, bumps and domain."""
     doc = load_document(os.path.join(CASES, "path3_interval.json"))
     bumps = build_bumps(build_voronoi(doc.position_list(), 1.0, 0.49))
-    n_modes = modes_for_time(1.0, 1e-4 / math.pi**2, 1e-10)
+    n_modes = modes_for_time(1.0, 1e-4 / math.pi**2)
     return doc.graph, bumps, IntervalDomain(1.0, n_modes)
 
 

@@ -74,7 +74,7 @@ def path3_interval_parametrix(steps: int, t_max: float = 0.5) -> Parametrix:
     """The averaged parametrix of ``cases/path3_interval.json`` as the CLI
     builds it: vertices at 0.25, 0.5, 0.75 in (0, 1)."""
     probe = 1e-4 / math.pi**2
-    dom = IntervalDomain(length=1.0, n_modes=modes_for_time(1.0, probe, 1e-10))
+    dom = IntervalDomain(length=1.0, n_modes=modes_for_time(1.0, probe))
     bumps = build_bumps(build_voronoi([0.25, 0.5, 0.75], 1.0, 0.49))
     return averaged_parametrix(dom, bumps, TimeGrid(t_max, steps), WeightedGraph.path(3))
 
@@ -333,7 +333,6 @@ class TestNeumannSeries:
         p = diagonal_parametrix(g, TimeGrid(1.0, 8))
         res = neumann_series(p, 1e-8)
         assert res.terms_used == 1
-        assert res.certified_tail == 0.0
         assert np.all(res.F == 0.0)
 
     def test_tolerance_controls_terms(self, rng):
@@ -342,7 +341,6 @@ class TestNeumannSeries:
         loose = neumann_series(p, 1e-4)
         tight = neumann_series(p, 1e-10)
         assert tight.terms_used >= loose.terms_used
-        assert tight.certified_tail <= 1e-10 * 2
 
     def test_truncation_certificate_stability(self, rng):
         g = random_graph(rng, n_max=5)
